@@ -13,6 +13,7 @@ from .grid import (LINEAR_LAMBDA, LINEAR_MU, HYDROGEN_E2, HYDROGEN_MU,
                    Mesh, Potential, ProblemSpec)
 from .oracles import hydrogen_energy, linear_energy
 from .problems import solve_bound_state
+from .relax import SingularBlockError
 from .scanner import (ScanSelectionError, compare_wavefunction,
                       reproduce_tables, sample_exact_curve, scan,
                       scan_diagnostics, write_wavefunction)
@@ -79,7 +80,11 @@ def _json_safe(value):
 def _cmd_solve(args) -> int:
     spec = _make_spec(args)
     mesh = Mesh.uniform(args.mesh_points)
-    outcome = solve_bound_state(spec, mesh, args.guess)
+    try:
+        outcome = solve_bound_state(spec, mesh, args.guess)
+    except SingularBlockError as exc:
+        print(f"solve failed: {exc}", file=sys.stderr)
+        return 1
     print(f"potential={args.potential} n={args.n} l={args.l} guess={args.guess}")
     print(f"converged={outcome.converged} iterations={outcome.iterations} "
           f"final_err={outcome.final_err:.3e}")

@@ -120,12 +120,12 @@ class RelaxConfig:
     scalv: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if self.itmax < 1:
-            raise ValueError("itmax must be positive")
-        if not (self.conv > 0.0 and self.slowc > 0.0):
-            raise ValueError("conv and slowc must be positive")
-        if len(self.scalv) != 3 or any(s <= 0.0 for s in self.scalv):
-            raise ValueError("scalv needs three positive entries")
+        if not isinstance(self.itmax, (int, np.integer)) or self.itmax < 1:
+            raise ValueError("itmax must be a positive integer")
+        if not (0.0 < self.conv < np.inf and 0.0 < self.slowc < np.inf):
+            raise ValueError("conv and slowc must be positive and finite")
+        if len(self.scalv) != 3 or not all(0.0 < s < np.inf for s in self.scalv):
+            raise ValueError("scalv needs three positive finite entries")
         object.__setattr__(self, "scalv", tuple(float(s) for s in self.scalv))
 
 
@@ -151,16 +151,16 @@ class ProblemSpec:
     n: int
 
     def __post_init__(self):
-        if self.mu <= 0.0 or self.coupling <= 0.0:
-            raise ValueError("mu and coupling must be positive")
+        if not (0.0 < self.mu < np.inf and 0.0 < self.coupling < np.inf):
+            raise ValueError("mu and coupling must be positive and finite")
         if self.n < 1 or self.l < 0:
             raise ValueError("need n >= 1 and l >= 0")
         if self.kind is Potential.COULOMB:
             ref = 1.0 / (self.mu * self.coupling)
-            if abs(self.a0 - ref) > 1e-12 * ref:
+            if not abs(self.a0 - ref) <= 1e-12 * ref:
                 raise ValueError("a0 must equal 1/(mu*e^2)")
-        elif self.a0 <= 0.0:
-            raise ValueError("a0 must be positive")
+        elif not 0.0 < self.a0 < np.inf:
+            raise ValueError("a0 must be positive and finite")
 
     @classmethod
     def coulomb(cls, n: int, l: int, mu: float = HYDROGEN_MU,

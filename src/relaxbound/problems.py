@@ -16,6 +16,11 @@ where B collects the potential and centrifugal terms:
 
 Boundary conditions: y1 = 0 at x = 0 (block k=1) and y1 = y2 = 0 at
 x = 1 (sentinel block k=M+1).
+
+block_builder binds mesh and spec into the problem relax takes.  Its
+assemble(grid) builds a whole Newton sweep as one (M+1, 3, 7) array,
+row k-1 holding block k, and relax calls it once per sweep; calling it
+as (k, grid) still returns the single DifferenceBlock k.
 """
 
 from __future__ import annotations
@@ -52,99 +57,94 @@ class MidpointState:
                    y3=0.5 * (y[2, p] + y[2, i]))
 
 
-def _check_k(k: int, mesh: Mesh) -> None:
-    if not 1 <= k <= mesh.m + 1:
-        raise IndexError(f"block index k={k} outside 1..{mesh.m + 1}")
+# (mass factor, potential term) of B for each potential, with omx = 1 - xb
+_TERMS = {
+    Potential.COULOMB: lambda xbar, omx, spec: (
+        spec.mu * spec.a0 * spec.a0, omx / xbar * spec.coupling / spec.a0),
+    Potential.LINEAR: lambda xbar, omx, spec: (
+        spec.mu, -(xbar / omx * spec.coupling)),
+}
 
 
-def _boundary_block(k: int, mesh: Mesh, grid: SolutionGrid) -> DifferenceBlock:
-    s = np.zeros((3, 7))
-    if k == 1:
-        # y1 = 0 at x = 0; only the last row of the block is meaningful.
-        s[2, 3] = 1.0
-        s[2, 6] = grid.y[0, 0]
-    else:
-        # y1 = y2 = 0 at x = 1.
-        s[0, 3] = 1.0
-        s[0, 6] = grid.y[0, -1]
-        s[1, 4] = 1.0
-        s[1, 6] = grid.y[1, -1]
-    return DifferenceBlock(s)
+def _assemble(mesh: Mesh, grid: SolutionGrid, spec: ProblemSpec,
+              terms) -> np.ndarray:
+    """Every block of one Newton sweep; row k-1 of the result is block k."""
+    y, h = grid.y, mesh.h
+    s = np.zeros((mesh.m + 1, 3, 7))
+    # y1 = 0 at x = 0; only the last row of the left block is meaningful.
+    s[0, 2, 3] = 1.0
+    s[0, 2, 6] = y[0, 0]
+    # y1 = y2 = 0 at x = 1.
+    s[-1, 0, 3] = s[-1, 1, 4] = 1.0
+    s[-1, 0, 6] = y[0, -1]
+    s[-1, 1, 6] = y[1, -1]
 
+    xbar = 0.5 * (mesh.x[:-1] + mesh.x[1:])
+    y1b, y2b, y3b = 0.5 * (y[:, :-1] + y[:, 1:])
+    dy = y[:, 1:] - y[:, :-1]
+    omx = 1.0 - xbar
+    # float_power, not **: numpy's integer-power fast path differs from
+    # C pow by an ulp at some midpoints
+    omx4 = np.float_power(omx, 4.0)
+    ratio = omx / xbar
+    mu_eff, potential = terms(xbar, omx, spec)
+    bracket = (2.0 * mu_eff * (y3b + potential)
+               - ratio * ratio * spec.l * (spec.l + 1))
 
-def _interior_block(k: int, mesh: Mesh, grid: SolutionGrid,
-                    mid: MidpointState, mu_eff: float,
-                    bracket: float) -> DifferenceBlock:
-    """Assemble E and its exact derivatives for interval k-1 -> k.
-
-    mu_eff is the mass factor multiplying (y3b + potential): mu*a0^2
-    for the Bohr-rescaled Coulomb problem, mu for the linear one.
-    """
-    p, i = k - 2, k - 1
-    h = mesh.h
-    y = grid.y
-    omx = 1.0 - mid.xbar
-    omx4 = omx ** 4
-
-    s = np.zeros((3, 7))
-    s[0, 0] = -1.0
-    s[0, 1] = -0.5 * h
-    s[0, 3] = 1.0
-    s[0, 4] = -0.5 * h
-    s[0, 6] = y[0, i] - y[0, p] - h * mid.y2
-
-    d_wave = 0.5 * h * bracket / omx4
-    d_energy = h * mu_eff * mid.y1 / omx4
-    s[1, 0] = d_wave
-    s[1, 1] = -1.0 + h / omx
-    s[1, 2] = d_energy
-    s[1, 3] = d_wave
-    s[1, 4] = 1.0 + h / omx
-    s[1, 5] = d_energy
-    s[1, 6] = (y[1, i] - y[1, p] + 2.0 * h / omx * mid.y2
-               + h / omx4 * bracket * mid.y1)
-
-    s[2, 2] = -1.0
-    s[2, 5] = 1.0
-    s[2, 6] = y[2, i] - y[2, p]
-    return DifferenceBlock(s)
+    mid = s[1:-1]
+    mid[:] = [[-1.0, -0.5 * h, 0.0, 1.0, -0.5 * h, 0.0, 0.0],
+              [0.0] * 7,
+              [0.0, 0.0, -1.0, 0.0, 0.0, 1.0, 0.0]]
+    mid[:, 0, 6] = dy[0] - h * y2b
+    mid[:, 1, 0] = mid[:, 1, 3] = 0.5 * h * bracket / omx4
+    mid[:, 1, 1] = -1.0 + h / omx
+    mid[:, 1, 2] = mid[:, 1, 5] = h * mu_eff * y1b / omx4
+    mid[:, 1, 4] = 1.0 + h / omx
+    mid[:, 1, 6] = dy[1] + 2.0 * h / omx * y2b + h / omx4 * bracket * y1b
+    mid[:, 2, 6] = dy[2]
+    return s
 
 
 def coulomb_block(k: int, mesh: Mesh, grid: SolutionGrid,
                   spec: ProblemSpec) -> DifferenceBlock:
     """Difference block k for the Bohr-rescaled Coulomb equation."""
-    _check_k(k, mesh)
-    if k == 1 or k == mesh.m + 1:
-        return _boundary_block(k, mesh, grid)
-    mid = MidpointState.at(k, mesh, grid)
-    ratio = (1.0 - mid.xbar) / mid.xbar
-    mu_eff = spec.mu * spec.a0 * spec.a0
-    bracket = (2.0 * mu_eff * (mid.y3 + ratio * spec.coupling / spec.a0)
-               - ratio * ratio * spec.l * (spec.l + 1))
-    return _interior_block(k, mesh, grid, mid, mu_eff, bracket)
+    return BlockBuilder(mesh, spec, _TERMS[Potential.COULOMB])(k, grid)
 
 
 def linear_block(k: int, mesh: Mesh, grid: SolutionGrid,
                  spec: ProblemSpec) -> DifferenceBlock:
     """Difference block k for the linear confining potential."""
-    _check_k(k, mesh)
-    if k == 1 or k == mesh.m + 1:
-        return _boundary_block(k, mesh, grid)
-    mid = MidpointState.at(k, mesh, grid)
-    ratio = (1.0 - mid.xbar) / mid.xbar
-    bracket = (2.0 * spec.mu * (mid.y3 - mid.xbar / (1.0 - mid.xbar) * spec.coupling)
-               - ratio * ratio * spec.l * (spec.l + 1))
-    return _interior_block(k, mesh, grid, mid, spec.mu, bracket)
+    return BlockBuilder(mesh, spec, _TERMS[Potential.LINEAR])(k, grid)
 
 
-def block_builder(mesh: Mesh, spec: ProblemSpec):
-    """Bind mesh and physics into the (k, grid) callback relax expects."""
-    fn = coulomb_block if spec.kind is Potential.COULOMB else linear_block
+class BlockBuilder:
+    """Mesh and physics bound into the problem relax expects.
 
-    def build(k: int, grid: SolutionGrid) -> DifferenceBlock:
-        return fn(k, mesh, grid, spec)
+    assemble(grid) returns the whole sweep.  Calling the builder as
+    (k, grid) returns block k of the last grid's sweep, assembling and
+    keeping the sweep whenever the grid changes.
+    """
 
-    return build
+    def __init__(self, mesh: Mesh, spec: ProblemSpec, terms):
+        self.mesh, self.spec, self._terms = mesh, spec, terms
+        self._grid = self._blocks = None
+
+    def assemble(self, grid: SolutionGrid) -> np.ndarray:
+        """The (M+1, 3, 7) blocks of the sweep at grid."""
+        return _assemble(self.mesh, grid, self.spec, self._terms)
+
+    def __call__(self, k: int, grid: SolutionGrid) -> DifferenceBlock:
+        if not 1 <= k <= self.mesh.m + 1:
+            raise IndexError(f"block index k={k} outside 1..{self.mesh.m + 1}")
+        if grid is not self._grid:
+            self._grid, self._blocks = grid, self.assemble(grid)
+            self._blocks.setflags(write=False)   # blocks are views of it
+        return DifferenceBlock(self._blocks[k - 1])
+
+
+def block_builder(mesh: Mesh, spec: ProblemSpec) -> BlockBuilder:
+    """Bind mesh and physics into the problem relax expects."""
+    return BlockBuilder(mesh, spec, _TERMS[spec.kind])
 
 
 def level_guess(spec: ProblemSpec, e_guess: float) -> float:

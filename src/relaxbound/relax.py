@@ -9,8 +9,9 @@ couple adjacent mesh points, and the sentinel block k = M+1 holds the
 right boundary conditions (rows 0..N_RIGHT-1, derivatives in columns
 3-5).
 
-The linear system S*delta = -E is block tridiagonal; it is solved by
-the usual forward pivot/eliminate/reduce sweep followed by
+The linear system S*delta = -E is block tridiagonal.  With a sweep's
+blocks held as one (M+1, 3, 7) array, it is solved by the usual forward
+pivot/eliminate/reduce sweep, one block at a time, followed by
 back-substitution, never materialising the dense matrix.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -59,95 +60,101 @@ class RelaxOutcome:
     converged: bool
 
 
-def _as_rows(block, k: int) -> list[list[float]]:
-    """Block contents as mutable rows with the residual sign flipped to RHS."""
-    s = getattr(block, "s", block)
-    s = np.asarray(s, dtype=float)
-    if s.shape != (N_VARS, 2 * N_VARS + 1):
-        raise ValueError(f"block {k} must be 3 x 7")
-    rows = s.tolist()
+def _stack(blocks) -> np.ndarray:
+    """Blocks as one (M+1, 3, 7) float array; arrays pass through."""
+    s = np.asarray(blocks if isinstance(blocks, np.ndarray)
+                   else [getattr(b, "s", b) for b in blocks], dtype=float)
+    if s.ndim != 3 or s.shape[1:] != (N_VARS, 2 * N_VARS + 1):
+        raise ValueError("blocks must stack to an (M+1, 3, 7) array")
+    return s
+
+
+def _stage_rows(s: np.ndarray, idx: int, meaningful: slice,
+                rel=None, col: int = 0) -> list[list[float]]:
+    """The meaningful rows of block idx with the residual sign flipped to
+    the RHS and, given rel (the previous stage's relation for the variable
+    in column col), that variable substituted into the two columns after it.
+    """
+    rows = s[idx].tolist()[meaningful]
     for row in rows:
         row[_RHS] = -row[_RHS]
+        if rel is not None:
+            f = row[col]
+            if f != 0.0:
+                row[col + 1] -= f * rel[0]
+                row[col + 2] -= f * rel[1]
+                row[_RHS] -= f * rel[2]
     return rows
 
 
-def _absorb(rows, row_ids, kill_col, coup_cols, rel) -> None:
-    """Substitute a solved relation for the variable living in kill_col."""
-    c0, c1 = coup_cols
-    for i in row_ids:
-        row = rows[i]
-        f = row[kill_col]
-        if f != 0.0:
-            row[c0] -= f * rel[0]
-            row[c1] -= f * rel[1]
-            row[_RHS] -= f * rel[2]
-            row[kill_col] = 0.0
-
-
-def _gauss_jordan(rows, row_ids, sub_cols, trail_cols, k) -> dict[int, int]:
-    """Diagonalise the square sub-block, returning column -> pivot row.
+def _gauss_jordan(rows, sub_cols, k: int) -> list[list[float]]:
+    """Diagonalise the square sub-block; return the pivot row of each sub column.
 
     Pivots are chosen scaled-partial style: each unassigned row offers
-    its largest |entry| over sub_cols, weighted by the row's initial
-    scale; ties keep the lowest row and column index.  A zero scale or
-    zero pivot means the block cannot determine its variables.
+    its largest |entry| over the unassigned sub_cols, weighted by the
+    row's initial scale; ties keep the lowest row and column index.  A
+    zero scale or zero pivot means the block cannot determine its
+    variables.  Only the unassigned sub columns and the columns after
+    the sub-block are updated, since no other entry is read again.
     """
-    active = list(sub_cols) + list(trail_cols) + [_RHS]
-    scale = {}
-    for i in row_ids:
-        big = max(abs(rows[i][c]) for c in sub_cols)
+    carry = list(range(sub_cols[-1] + 1, _RHS + 1))
+    scale = []
+    for row in rows:
+        big = abs(row[sub_cols[0]])
+        for c in sub_cols[1:]:
+            v = abs(row[c])
+            if v > big:
+                big = v
         if not big > 0.0:
             raise SingularBlockError(k)
-        scale[i] = 1.0 / big
+        scale.append(1.0 / big)
 
-    assign: dict[int, int] = {}
-    free = list(row_ids)
+    open_cols = list(sub_cols)
+    free = list(range(len(rows)))
+    pivots = [None] * len(sub_cols)
     for _ in sub_cols:
         best = 0.0
         prow = pcol = -1
         for i in free:
+            row = rows[i]
             big = 0.0
             jp = -1
-            for c in sub_cols:
-                if c in assign:
-                    continue
-                v = abs(rows[i][c])
+            for c in open_cols:
+                v = abs(row[c])
                 if v > big:
                     big = v
                     jp = c
             if big * scale[i] > best:
                 best = big * scale[i]
                 prow, pcol = i, jp
-        if prow < 0 or rows[prow][pcol] == 0.0:
+        if prow < 0:
             raise SingularBlockError(k)
+        open_cols.remove(pcol)
+        free.remove(prow)
+        live = open_cols + carry
         piv = rows[prow]
         inv = 1.0 / piv[pcol]
-        for c in active:
+        for c in live:
             piv[c] *= inv
-        piv[pcol] = 1.0
-        for i in row_ids:
-            if i == prow:
-                continue
-            row = rows[i]
+        for row in rows:
             f = row[pcol]
-            if f != 0.0:
-                for c in active:
+            if row is not piv and f != 0.0:
+                for c in live:
                     row[c] -= f * piv[c]
-                row[pcol] = 0.0
-        assign[pcol] = prow
-        free.remove(prow)
-    return assign
+        pivots[sub_cols.index(pcol)] = piv
+    return pivots
 
 
-def solve_block_system(blocks: Sequence) -> np.ndarray:
+def solve_block_system(blocks) -> np.ndarray:
     """Solve S*delta = -E for the corrections, block by block.
 
-    blocks must hold M+1 entries ordered left boundary, M-1 interior
-    couplings, right boundary.  Returns the 3 x M correction array.
-    Raises SingularBlockError (with the 1-based block index) when a
-    stage cannot determine its variables.
+    blocks is an (M+1, 3, 7) array, or a sequence of M+1 blocks, ordered
+    left boundary, M-1 interior couplings, right boundary.  Returns the
+    3 x M correction array.  Raises SingularBlockError (with the 1-based
+    block index) when a stage cannot determine its variables.
     """
-    m = len(blocks) - 1
+    s = _stack(blocks)
+    m = s.shape[0] - 1
     if m < 2:
         raise ValueError("need a boundary block at each end and at least one interior block")
 
@@ -155,46 +162,34 @@ def solve_block_system(blocks: Sequence) -> np.ndarray:
     # (c1, c2, r) meaning delta = r - c1*d1 - c2*d2 with (d1, d2) the
     # trailing variables of the stage's rightmost point.  The relation
     # for variable 0 of point idx is always last.
-    rels: list[list[tuple[float, float, float]]] = [[] for _ in range(m)]
-
-    rows = _as_rows(blocks[0], 1)
-    assign = _gauss_jordan(rows, range(N_VARS - N_LEFT, N_VARS),
-                           sub_cols=(N_VARS,), trail_cols=(4, 5), k=1)
-    row = rows[assign[N_VARS]]
-    rels[0].append((row[4], row[5], row[_RHS]))
+    rows = _stage_rows(s, 0, slice(N_VARS - N_LEFT, N_VARS))
+    (row,) = _gauss_jordan(rows, (N_VARS,), k=1)
+    rels = [[(row[4], row[5], row[_RHS])]]
 
     for idx in range(1, m):
-        rows = _as_rows(blocks[idx], idx + 1)
-        _absorb(rows, range(N_VARS), kill_col=0, coup_cols=(1, 2),
-                rel=rels[idx - 1][-1])
-        assign = _gauss_jordan(rows, range(N_VARS), sub_cols=(1, 2, 3),
-                               trail_cols=(4, 5), k=idx + 1)
-        for c in (1, 2, 3):
-            row = rows[assign[c]]
-            rels[idx].append((row[4], row[5], row[_RHS]))
+        rows = _stage_rows(s, idx, slice(N_VARS), rels[-1][-1])
+        rels.append([(row[4], row[5], row[_RHS]) for row in
+                     _gauss_jordan(rows, (1, 2, N_VARS), k=idx + 1)])
 
-    rows = _as_rows(blocks[m], m + 1)
-    _absorb(rows, range(N_RIGHT), kill_col=N_VARS, coup_cols=(4, 5),
-            rel=rels[m - 1][-1])
-    assign = _gauss_jordan(rows, range(N_RIGHT), sub_cols=(4, 5),
-                           trail_cols=(), k=m + 1)
+    rows = _stage_rows(s, m, slice(N_RIGHT), rels[-1][-1], col=N_VARS)
+    last1, last2 = _gauss_jordan(rows, (4, 5), k=m + 1)
 
-    dy = np.empty((N_VARS, m))
-    dy[1, m - 1] = rows[assign[4]][_RHS]
-    dy[2, m - 1] = rows[assign[5]][_RHS]
+    dy0, dy1, dy2 = dy = [[0.0] * m for _ in range(N_VARS)]
+    dy1[m - 1] = last1[_RHS]
+    dy2[m - 1] = last2[_RHS]
     for idx in range(m - 1, 0, -1):
-        d1 = dy[1, idx]
-        d2 = dy[2, idx]
+        d1 = dy1[idx]
+        d2 = dy2[idx]
         r0, r1, r2 = rels[idx]
-        dy[1, idx - 1] = r0[2] - r0[0] * d1 - r0[1] * d2
-        dy[2, idx - 1] = r1[2] - r1[0] * d1 - r1[1] * d2
-        dy[0, idx] = r2[2] - r2[0] * d1 - r2[1] * d2
+        dy1[idx - 1] = r0[2] - r0[0] * d1 - r0[1] * d2
+        dy2[idx - 1] = r1[2] - r1[0] * d1 - r1[1] * d2
+        dy0[idx] = r2[2] - r2[0] * d1 - r2[1] * d2
     rel = rels[0][0]
-    dy[0, 0] = rel[2] - rel[0] * dy[1, 0] - rel[1] * dy[2, 0]
-    return dy
+    dy0[0] = rel[2] - rel[0] * dy1[0] - rel[1] * dy2[0]
+    return np.array(dy)
 
 
-def _exactly_solved(blocks) -> bool:
+def _exactly_solved(s: np.ndarray) -> bool:
     """True when every meaningful residual entry is exactly zero.
 
     Such a grid already solves the discrete system, so the Newton
@@ -202,15 +197,8 @@ def _exactly_solved(blocks) -> bool:
     Jacobian may legitimately be singular there (on the all-zero trivial
     solution the energy column vanishes entirely).
     """
-    def rhs(block):
-        return np.asarray(getattr(block, "s", block), dtype=float)[:, _RHS]
-
-    if np.any(rhs(blocks[0])[N_VARS - N_LEFT:] != 0.0):
-        return False
-    for block in blocks[1:-1]:
-        if np.any(rhs(block) != 0.0):
-            return False
-    return not np.any(rhs(blocks[-1])[:N_RIGHT] != 0.0)
+    return not (s[0, N_VARS - N_LEFT:, _RHS].any() or s[1:-1, :, _RHS].any()
+                or s[-1, :N_RIGHT, _RHS].any())
 
 
 def relax(problem: Callable[[int, SolutionGrid], DifferenceBlock],
@@ -218,6 +206,8 @@ def relax(problem: Callable[[int, SolutionGrid], DifferenceBlock],
           config: RelaxConfig) -> RelaxOutcome:
     """Iterate damped Newton steps until the correction norm drops below conv.
 
+    problem.assemble(grid), when present, must return the (M+1, 3, 7)
+    blocks of a sweep and is called once per sweep.  Otherwise
     problem(k, grid) must return the difference block for k = 1..M+1;
     the engine requests blocks in that order exactly once per sweep.
     Each sweep solves for the raw corrections, measures
@@ -229,12 +219,14 @@ def relax(problem: Callable[[int, SolutionGrid], DifferenceBlock],
     """
     if initial.m != mesh.m:
         raise ValueError("initial grid does not match the mesh")
+    assemble = getattr(problem, "assemble", None)
     y = np.array(initial.y, dtype=float)
     nvar = N_VARS * mesh.m
     err = math.inf
     for it in range(1, config.itmax + 1):
         grid = SolutionGrid(y)
-        blocks = [problem(k, grid) for k in range(1, mesh.m + 2)]
+        blocks = _stack(assemble(grid) if assemble is not None else
+                        [problem(k, grid) for k in range(1, mesh.m + 2)])
         if _exactly_solved(blocks):
             return RelaxOutcome(grid, it, 0.0, True)
         dy = solve_block_system(blocks)

@@ -4,13 +4,17 @@ The dense assembler here is the independent route for checking the
 structured block solver: it materialises the full 3M x 3M Newton matrix
 from the very same difference blocks and solves it with numpy's LU.
 Keep it dumb on purpose; it must not share code with the solver.
+
+reference_blocks is the scalar route for checking the array assembler:
+the original one-block-at-a-time arithmetic on scalars, point by point,
+which the array code must reproduce bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from relaxbound import (DifferenceBlock, Mesh, ProblemSpec, SolutionGrid,
-                        block_builder)
+from relaxbound import (DifferenceBlock, Mesh, Potential, ProblemSpec,
+                        SolutionGrid, block_builder)
 
 N = 3
 RHS = 6
@@ -49,6 +53,71 @@ def dense_solve(blocks, m):
 
     delta = np.linalg.solve(a, rhs)
     return delta.reshape(m, N).T
+
+
+def _boundary_block(k, mesh, grid):
+    s = np.zeros((3, 7))
+    if k == 1:
+        s[2, 3] = 1.0
+        s[2, 6] = grid.y[0, 0]
+    else:
+        s[0, 3] = 1.0
+        s[0, 6] = grid.y[0, -1]
+        s[1, 4] = 1.0
+        s[1, 6] = grid.y[1, -1]
+    return s
+
+
+def _interior_block(k, mesh, grid, spec):
+    p, i = k - 2, k - 1
+    h = mesh.h
+    y = grid.y
+    xbar = 0.5 * (mesh.x[p] + mesh.x[i])
+    y1b = 0.5 * (y[0, p] + y[0, i])
+    y2b = 0.5 * (y[1, p] + y[1, i])
+    y3b = 0.5 * (y[2, p] + y[2, i])
+    ratio = (1.0 - xbar) / xbar
+    if spec.kind is Potential.COULOMB:
+        mu_eff = spec.mu * spec.a0 * spec.a0
+        bracket = (2.0 * mu_eff * (y3b + ratio * spec.coupling / spec.a0)
+                   - ratio * ratio * spec.l * (spec.l + 1))
+    else:
+        mu_eff = spec.mu
+        bracket = (2.0 * spec.mu * (y3b - xbar / (1.0 - xbar) * spec.coupling)
+                   - ratio * ratio * spec.l * (spec.l + 1))
+    omx = 1.0 - xbar
+    omx4 = omx ** 4
+
+    s = np.zeros((3, 7))
+    s[0, 0] = -1.0
+    s[0, 1] = -0.5 * h
+    s[0, 3] = 1.0
+    s[0, 4] = -0.5 * h
+    s[0, 6] = y[0, i] - y[0, p] - h * y2b
+
+    d_wave = 0.5 * h * bracket / omx4
+    d_energy = h * mu_eff * y1b / omx4
+    s[1, 0] = d_wave
+    s[1, 1] = -1.0 + h / omx
+    s[1, 2] = d_energy
+    s[1, 3] = d_wave
+    s[1, 4] = 1.0 + h / omx
+    s[1, 5] = d_energy
+    s[1, 6] = (y[1, i] - y[1, p] + 2.0 * h / omx * y2b
+               + h / omx4 * bracket * y1b)
+
+    s[2, 2] = -1.0
+    s[2, 5] = 1.0
+    s[2, 6] = y[2, i] - y[2, p]
+    return s
+
+
+def reference_blocks(spec, mesh, grid):
+    """All M+1 blocks, built one at a time from scalar arithmetic."""
+    last = mesh.m + 1
+    return np.array([_boundary_block(k, mesh, grid) if k in (1, last)
+                     else _interior_block(k, mesh, grid, spec)
+                     for k in range(1, last + 1)])
 
 
 def smooth_grid(mesh, rng, energy_scale=1.0):

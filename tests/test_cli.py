@@ -72,6 +72,25 @@ def test_solve_propagates_domain_errors_as_exit_two(capsys):
     assert err.startswith("error:")
 
 
+def test_solve_rejects_nonfinite_parameters_as_exit_two(capsys):
+    rc = cli.main(["solve", "--potential", "linear", "--mu", "nan",
+                   "--guess", "5.97", "--mesh-points", "51"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "finite" in err
+
+
+def test_solve_reports_a_singular_elimination_as_a_failed_solve(capsys):
+    # finite input: a0 = 1/(mu*e^2) overflows the Coulomb blocks, so the
+    # elimination finds no usable pivot in the last interior block
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["solve", "--potential", "coulomb", "--mu", "1e-300",
+                       "--guess", "-13", "--mesh-points", "11"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "solve failed: singular block at k=11" in err
+
+
 # ------------------------------------------------------------------- scan --
 
 

@@ -1,5 +1,7 @@
 """Coordinate maps, meshes, and the value types they feed."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,13 @@ def test_relax_config_defaults_and_normalisation():
     {"scalv": (1.0, 1.0)},
     {"scalv": (1.0, 0.0, 1.0)},
     {"scalv": (1.0, -1.0, 1.0)},
+    {"itmax": 2.5},
+    {"conv": math.nan},
+    {"conv": math.inf},
+    {"slowc": math.nan},
+    {"slowc": math.inf},
+    {"scalv": (1.0, math.nan, 1.0)},
+    {"scalv": (1.0, 1.0, math.inf)},
 ])
 def test_relax_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -169,6 +178,23 @@ def test_spec_rejects_nonpositive_physics(kwargs):
     base = {"n": 1, "l": 0}
     with pytest.raises(ValueError):
         ProblemSpec.linear(**base, **kwargs)
+
+
+@pytest.mark.parametrize("field", ["mu", "coupling"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("make", [ProblemSpec.coulomb, ProblemSpec.linear],
+                         ids=["coulomb", "linear"])
+def test_spec_rejects_nonfinite_physics(make, value, field):
+    with pytest.raises(ValueError, match="finite"):
+        make(1, 0, **{field: value})
+
+
+@pytest.mark.parametrize("a0", [math.nan, math.inf])
+def test_spec_rejects_nonfinite_a0(a0):
+    for kind in Potential:
+        with pytest.raises(ValueError):
+            ProblemSpec(kind=kind, mu=HYDROGEN_MU, coupling=HYDROGEN_E2,
+                        a0=a0, l=0, n=1)
 
 
 @pytest.mark.parametrize("n, l", [(0, 0), (-1, 0), (1, -1)])

@@ -8,7 +8,7 @@ from relaxbound import (Mesh, MidpointState, Potential, ProblemSpec,
                         RelaxConfig, SolutionGrid, block_builder,
                         coulomb_block, default_config, initial_guess,
                         level_guess, linear_block, relax, solve_bound_state)
-from conftest import assert_blocks_match_fd, smooth_grid
+from conftest import assert_blocks_match_fd, reference_blocks, smooth_grid
 
 
 @pytest.fixture
@@ -126,6 +126,24 @@ def test_centrifugal_term_shifts_only_the_wave_derivatives(mesh101, rng):
             same = np.ones((3, 7), dtype=bool)
             same[1, 0] = same[1, 3] = same[1, 6] = False
             assert np.array_equal(s0[same], s1[same])
+
+
+@pytest.mark.parametrize("m", [3, 12, 101, 10001])
+@pytest.mark.parametrize("l", [0, 2])
+@pytest.mark.parametrize("kind", ["coulomb", "linear"])
+def test_sweep_assembly_matches_the_scalar_reference_exactly(kind, l, m, rng):
+    # bit for bit: (1 - xb)^4 computed the array way must round like the
+    # scalar power at every midpoint, which the fine mesh probes densely
+    spec = getattr(ProblemSpec, kind)(3, l)
+    mesh = Mesh.uniform(m)
+    grid = smooth_grid(mesh, rng, energy_scale=13.6 if kind == "coulomb" else 5.0)
+    build = block_builder(mesh, spec)
+    ref = reference_blocks(spec, mesh, grid)
+    sweep = build.assemble(grid)
+    assert sweep.shape == (m + 1, 3, 7)
+    assert np.array_equal(sweep, ref)
+    for k in (1, 2, m, m + 1):
+        assert np.array_equal(build(k, grid).s, ref[k - 1])
 
 
 # --------------------------------------------------------- midpoint state --

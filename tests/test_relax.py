@@ -207,6 +207,22 @@ def test_blocks_are_requested_in_order_once_per_sweep(mesh101):
     assert seen == sweep * out.iterations
 
 
+@pytest.mark.parametrize("spec, guess", [
+    (ProblemSpec.coulomb(1, 0), -14.0),
+    (ProblemSpec.linear(2, 0), 10.4410),
+], ids=["coulomb-1s", "linear-n2"])
+def test_whole_sweep_and_per_block_problems_relax_identically(mesh101, spec, guess):
+    build = block_builder(mesh101, spec)
+    start = initial_guess(spec, mesh101, guess)
+    cfg = default_config(spec, guess)
+    whole = relax(build, mesh101, start, cfg)
+    per_block = relax(lambda k, g: build(k, g), mesh101, start, cfg)
+    assert whole.grid.y.tobytes() == per_block.grid.y.tobytes()
+    assert whole.iterations == per_block.iterations > 1
+    assert whole.final_err == per_block.final_err
+    assert whole.converged == per_block.converged
+
+
 def test_itmax_exhaustion_reports_nonconvergence(mesh101):
     spec = ProblemSpec.coulomb(1, 0)
     start = initial_guess(spec, mesh101, -13.598270)
