@@ -17,7 +17,7 @@ from .problems import (MidpointState, block_builder, coulomb_block,
                        default_config, initial_guess, level_guess,
                        linear_block, normalized_builder, solve_bound_state)
 from .relax import (DifferenceBlock, RelaxOutcome, SingularBlockError, relax,
-                    solve_block_system)
+                    relax_batch, solve_block_system)
 from .scanner import (ScanEntry, ScanReport, ScanSelectionError,
                       compare_wavefunction, reproduce_tables, roughness,
                       sample_exact_curve, scan, scan_diagnostics,
@@ -35,7 +35,7 @@ __all__ = [
     "coulomb_block", "default_config", "hydrogen_energy", "hydrogen_radial",
     "initial_guess", "level_guess", "linear_block", "linear_energy",
     "linear_radial", "map_x_to_z", "map_z_to_x", "normalized_builder", "relax",
-    "reproduce_tables", "roughness", "sample_exact_curve", "scan",
+    "relax_batch", "reproduce_tables", "roughness", "sample_exact_curve", "scan",
     "scan_diagnostics", "solve_block_system", "solve_bound_state",
     "write_wavefunction",
 ]

@@ -7,8 +7,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .grid import (LINEAR_LAMBDA, LINEAR_MU, HYDROGEN_E2, HYDROGEN_MU,
                    Mesh, Potential, ProblemSpec)
 from .oracles import hydrogen_energy, linear_energy
@@ -16,7 +14,7 @@ from .problems import solve_bound_state
 from .relax import SingularBlockError
 from .scanner import (ScanSelectionError, compare_wavefunction,
                       reproduce_tables, sample_exact_curve, scan,
-                      scan_diagnostics, write_wavefunction)
+                      scan_diagnostics, write_curve)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,20 +93,10 @@ def _cmd_solve(args) -> int:
     except (NotImplementedError, ValueError):
         pass
     if args.out:
-        if args.format == "dat":
-            write_wavefunction(outcome.grid, mesh, args.out)
-        else:
-            denom = max(np.abs(outcome.grid.wavefunction).max(), 1e-300)
-            payload = {
-                "converged": outcome.converged,
-                "iterations": outcome.iterations,
-                "final_err": _json_safe(outcome.final_err),
-                "eigenvalue": outcome.grid.energy,
-                "x": mesh.x.tolist(),
-                "value": (outcome.grid.wavefunction / denom).tolist(),
-            }
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=1)
+        write_curve(mesh.x, outcome.grid.wavefunction, args.out, args.format,
+                    converged=outcome.converged, iterations=outcome.iterations,
+                    final_err=_json_safe(outcome.final_err),
+                    eigenvalue=outcome.grid.energy)
     return 0 if outcome.converged else 1
 
 
@@ -168,16 +156,7 @@ def _cmd_oracle(args) -> int:
         except NotImplementedError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        denom = max(np.abs(curve).max(), 1e-300)
-        if args.format == "dat":
-            with open(args.out, "w") as fh:
-                for xk, yk in zip(mesh.x, curve):
-                    fh.write(f"{xk:.6f} {yk / denom:.6f}\n")
-        else:
-            payload = {"eigenvalue": energy, "x": mesh.x.tolist(),
-                       "value": (curve / denom).tolist()}
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=1)
+        write_curve(mesh.x, curve, args.out, args.format, eigenvalue=energy)
     return 0
 
 

@@ -22,6 +22,11 @@ LINEAR_MU = 0.75
 LINEAR_LAMBDA = 5.0
 
 
+def _is_count(value) -> bool:
+    """True for a Python or numpy integer; bool is refused."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def map_x_to_z(x):
     """Map x in [0, 1) to the radial coordinate z = x/(1 - x)."""
     arr = np.asarray(x, dtype=float)
@@ -49,8 +54,8 @@ class Mesh:
     x: np.ndarray
 
     def __post_init__(self):
-        if self.m < 3:
-            raise ValueError("mesh needs at least 3 points")
+        if not _is_count(self.m) or self.m < 3:
+            raise ValueError("mesh needs an integer count of at least 3 points")
         if self.x.shape != (self.m,):
             raise ValueError("coordinate array does not match point count")
         if self.x[0] != 0.0 or self.x[-1] != 1.0:
@@ -60,8 +65,8 @@ class Mesh:
 
     @classmethod
     def uniform(cls, m: int) -> "Mesh":
-        if m < 3:
-            raise ValueError("mesh needs at least 3 points")
+        if not _is_count(m) or m < 3:
+            raise ValueError("mesh needs an integer count of at least 3 points")
         # Per-point division: x[k] == k/(m-1) exactly, and x[-1] == 1.0.
         x = np.arange(m, dtype=float) / (m - 1)
         x.setflags(write=False)
@@ -128,7 +133,7 @@ class RelaxConfig:
     scalv: tuple[float, ...] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if not isinstance(self.itmax, (int, np.integer)) or self.itmax < 1:
+        if not _is_count(self.itmax) or self.itmax < 1:
             raise ValueError("itmax must be a positive integer")
         if not (0.0 < self.conv < np.inf and 0.0 < self.slowc < np.inf):
             raise ValueError("conv and slowc must be positive and finite")
@@ -161,6 +166,8 @@ class ProblemSpec:
     def __post_init__(self):
         if not (0.0 < self.mu < np.inf and 0.0 < self.coupling < np.inf):
             raise ValueError("mu and coupling must be positive and finite")
+        if not (_is_count(self.n) and _is_count(self.l)):
+            raise ValueError("n and l must be integers")
         if self.n < 1 or self.l < 0:
             raise ValueError("need n >= 1 and l >= 0")
         if self.kind is Potential.COULOMB:

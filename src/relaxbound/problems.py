@@ -37,8 +37,9 @@ condition of sfroid, Numerical Recipes section 17.4).
 block_builder and normalized_builder bind mesh and spec into the
 problem relax takes.  Its assemble(grid) builds a whole Newton sweep
 as one (M+1, N, 2N+1) array, row k-1 holding block k, and relax calls
-it once per sweep; calling it as (k, grid) still returns the single
-DifferenceBlock k.
+it once per sweep; assemble_slab(y, lo, hi) builds blocks lo+1..hi for
+a whole batch of grids, which relax_batch streams through; calling it
+as (k, grid) still returns the single DifferenceBlock k.
 """
 
 from __future__ import annotations
@@ -85,28 +86,42 @@ _TERMS = {
 }
 
 
-def _assemble(mesh: Mesh, grid: SolutionGrid, spec: ProblemSpec,
-              terms, normalized: bool) -> np.ndarray:
-    """Every block of one Newton sweep; row k-1 of the result is block k."""
-    y, h = grid.y, mesh.h
+def _assemble(mesh: Mesh, y: np.ndarray, spec: ProblemSpec, terms,
+              normalized: bool, lo: int, hi: int) -> np.ndarray:
+    """Blocks lo+1..hi of one Newton sweep at each grid of y (B, N, M).
+
+    Returns (B, hi-lo, N, 2N+1); row k-1-lo of a member's blocks is
+    block k.  Every entry is computed elementwise, so a block has the
+    same bits whichever slab or batch it is assembled in.
+    """
+    h, m = mesh.h, mesh.m
     n = 4 if normalized else 3
     c, rhs = n, 2 * n           # first column of point k; residual column
-    s = np.zeros((mesh.m + 1, n, rhs + 1))
-    # y1 = 0 at both ends; the left block's meaningful rows are its last.
-    s[0, 2, c] = s[-1, 0, c] = 1.0
-    s[0, 2, rhs] = y[0, 0]
-    s[-1, 0, rhs] = y[0, -1]
-    if normalized:              # y4 = 0 at x = 0, y4 = 1 at x = 1
-        s[0, 3, c + 3] = s[-1, 1, c + 3] = 1.0
-        s[0, 3, rhs] = y[3, 0]
-        s[-1, 1, rhs] = y[3, -1] - 1.0
-    else:                       # y2 = 0 at x = 1
-        s[-1, 1, c + 1] = 1.0
-        s[-1, 1, rhs] = y[1, -1]
+    s = np.zeros((y.shape[0], hi - lo, n, rhs + 1))
+    if lo == 0:                 # y1 = 0 at x = 0; its rows are the block's last
+        s[:, 0, 2, c] = 1.0
+        s[:, 0, 2, rhs] = y[:, 0, 0]
+        if normalized:          # y4 = 0 at x = 0
+            s[:, 0, 3, c + 3] = 1.0
+            s[:, 0, 3, rhs] = y[:, 3, 0]
+    if hi == m + 1:             # y1 = 0 at x = 1
+        s[:, -1, 0, c] = 1.0
+        s[:, -1, 0, rhs] = y[:, 0, -1]
+        if normalized:          # y4 = 1 at x = 1
+            s[:, -1, 1, c + 3] = 1.0
+            s[:, -1, 1, rhs] = y[:, 3, -1] - 1.0
+        else:                   # y2 = 0 at x = 1
+            s[:, -1, 1, c + 1] = 1.0
+            s[:, -1, 1, rhs] = y[:, 1, -1]
+    first, stop = max(lo, 1), min(hi, m)    # interior blocks k = first+1..stop
+    if first >= stop:
+        return s
 
-    xbar = 0.5 * (mesh.x[:-1] + mesh.x[1:])
-    y1b, y2b, y3b = 0.5 * (y[:3, :-1] + y[:3, 1:])
-    dy = y[:, 1:] - y[:, :-1]
+    x = mesh.x[first - 1:stop]
+    xbar = 0.5 * (x[:-1] + x[1:])
+    yl, yr = y[:, :, first - 1:stop - 1], y[:, :, first:stop]
+    y1b, y2b, y3b = (0.5 * (yl[:, :3] + yr[:, :3])).transpose(1, 0, 2)
+    dy = (yr - yl).transpose(1, 0, 2)
     omx = 1.0 - xbar
     # float_power, not **: numpy's integer-power fast path differs from
     # C pow by an ulp at some midpoints
@@ -118,20 +133,20 @@ def _assemble(mesh: Mesh, grid: SolutionGrid, spec: ProblemSpec,
     # first-derivative term per y2b, signed as the formulation has it
     drift = -(h / omx) if normalized else h / omx
 
-    mid = s[1:-1]
-    mid[:, 0, [0, 1, c, c + 1]] = -1.0, -0.5 * h, 1.0, -0.5 * h
-    mid[:, 0, rhs] = dy[0] - h * y2b
-    mid[:, 1, 0] = mid[:, 1, c] = 0.5 * h * bracket / omx4
-    mid[:, 1, 1] = -1.0 + drift
-    mid[:, 1, 2] = mid[:, 1, c + 2] = h * mu_eff * y1b / omx4
-    mid[:, 1, c + 1] = 1.0 + drift
-    mid[:, 1, rhs] = dy[1] + 2.0 * drift * y2b + h / omx4 * bracket * y1b
-    mid[:, 2, [2, c + 2]] = -1.0, 1.0
-    mid[:, 2, rhs] = dy[2]
+    mid = s[:, first - lo:stop - lo]
+    mid[:, :, 0, [0, 1, c, c + 1]] = -1.0, -0.5 * h, 1.0, -0.5 * h
+    mid[:, :, 0, rhs] = dy[0] - h * y2b
+    mid[:, :, 1, 0] = mid[:, :, 1, c] = 0.5 * h * bracket / omx4
+    mid[:, :, 1, 1] = -1.0 + drift
+    mid[:, :, 1, 2] = mid[:, :, 1, c + 2] = h * mu_eff * y1b / omx4
+    mid[:, :, 1, c + 1] = 1.0 + drift
+    mid[:, :, 1, rhs] = dy[1] + 2.0 * drift * y2b + h / omx4 * bracket * y1b
+    mid[:, :, 2, [2, c + 2]] = -1.0, 1.0
+    mid[:, :, 2, rhs] = dy[2]
     if normalized:
-        mid[:, 3, 0] = mid[:, 3, c] = -h * y1b
-        mid[:, 3, [3, c + 3]] = -1.0, 1.0
-        mid[:, 3, rhs] = dy[3] - h * y1b * y1b
+        mid[:, :, 3, 0] = mid[:, :, 3, c] = -h * y1b
+        mid[:, :, 3, [3, c + 3]] = -1.0, 1.0
+        mid[:, :, 3, rhs] = dy[3] - h * y1b * y1b
     return s
 
 
@@ -165,8 +180,13 @@ class BlockBuilder:
 
     def assemble(self, grid: SolutionGrid) -> np.ndarray:
         """The (M+1, N, 2N+1) blocks of the sweep at grid."""
-        return _assemble(self.mesh, grid, self.spec, self._terms,
-                         self.normalized)
+        return self.assemble_slab(grid.y[None], 0, self.mesh.m + 1)[0]
+
+    def assemble_slab(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Blocks lo+1..hi of the sweep at each grid of the stacked
+        (B, N, M) array y, as (B, hi-lo, N, 2N+1)."""
+        return _assemble(self.mesh, y, self.spec, self._terms,
+                         self.normalized, lo, hi)
 
     def __call__(self, k: int, grid: SolutionGrid) -> DifferenceBlock:
         if not 1 <= k <= self.mesh.m + 1:

@@ -21,6 +21,14 @@ The linear system S*delta = -E is block tridiagonal.  With a sweep's
 blocks held as one (M+1, N, 2N+1) array, it is solved by the usual
 forward pivot/eliminate/reduce sweep, one block at a time, followed by
 back-substitution, never materialising the dense matrix.
+
+relax_batch runs one Newton loop over B grids (relax is its B = 1
+case), as a scan relaxes a window of guesses.  Their systems are
+eliminated in lockstep: stage by stage, numpy calls over the batch
+apply every member's own pivots with the same rule and arithmetic, so
+each grid stops at the same sweep with the same bits as it would alone.
+A batch is assembled a few blocks at a time, so only the relations that
+back-substitution needs are held for the whole mesh.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .grid import Mesh, RelaxConfig, SolutionGrid
+from .lockstep import eliminate
 
 LEFT = (0,)                     # unknowns pinned at x = 0 unless the problem says
 
@@ -166,7 +175,7 @@ class _Layout:
     def __init__(self, n: int, left: tuple[int, ...]):
         lead, trail = _split(n, left)
         nl = len(lead)
-        self.n, self.n_left = n, nl
+        self.n, self.n_left, self.lead, self.trail = n, nl, lead, trail
         self.pinned_cols = [n + a for a in lead]
         self.trailing_cols = [n + t for t in trail]
         self.carry = self.trailing_cols + [2 * n]
@@ -257,6 +266,65 @@ def _exactly_solved(s: np.ndarray, n_left: int) -> bool:
                 or s[-1, :n - n_left, -1].any())
 
 
+SLAB = 8                        # blocks assembled at a time in a batched sweep
+BATCH_MIN = 16                  # fewest grids worth eliminating together
+
+
+def _sweep_blocks(problem, mesh: Mesh, grid: SolutionGrid) -> np.ndarray:
+    """One grid's whole sweep, from problem.assemble or block by block."""
+    assemble = getattr(problem, "assemble", None)
+    blocks = _stack(assemble(grid) if assemble is not None else
+                    [problem(k, grid) for k in range(1, mesh.m + 2)])
+    if blocks.shape[1] != grid.n_vars:
+        raise ValueError(f"blocks have {blocks.shape[1]} unknowns, the grid {grid.n_vars}")
+    return blocks
+
+
+def _corrections(problem, mesh: Mesh, y: np.ndarray, left: tuple[int, ...]):
+    """Newton corrections of each grid in y (B, N, M).
+
+    Returns (dy, exact, singular): exact marks grids whose residuals are
+    all exactly zero (their dy is zero), singular holds the 1-based block
+    where a grid's elimination failed, else 0.
+
+    This is the one place the engine forks.  Fewer than BATCH_MIN grids
+    are assembled whole and eliminated one at a time by
+    solve_block_system's generated straight-line Python.  From BATCH_MIN
+    on they are assembled SLAB blocks at a time and eliminated together
+    by lockstep.eliminate, numpy calls over the batch.  Numpy's per-call
+    overhead makes a batched sweep cost about the same for any batch of
+    up to a few dozen grids: at M = 101 it took 25-40 ms against 1.1-2.3
+    ms per grid for the straight-line kernel, so batching pays from about
+    16 grids, and on a single grid at M = 10001 it is 13 times slower
+    (2.2 s against 0.17 s per sweep; 2-core Xeon VM).  Both kernels give
+    the same bits.
+    """
+    b, n, m = y.shape
+    if b < BATCH_MIN:
+        dy, exact, singular = [], np.zeros(b, dtype=bool), np.zeros(b, dtype=int)
+        for i, g in enumerate(y):
+            blocks = _sweep_blocks(problem, mesh, SolutionGrid(g, n))
+            exact[i] = _exactly_solved(blocks, len(left))
+            try:
+                dy.append(np.zeros((n, m)) if exact[i] else
+                          solve_block_system(blocks, left))
+            except SingularBlockError as exc:
+                singular[i] = exc.k
+                dy.append(np.zeros((n, m)))
+            del blocks
+        return np.stack(dy), exact, singular
+
+    blocks_of = getattr(problem, "assemble_slab", None)
+    if blocks_of is None:
+        whole = np.stack([_sweep_blocks(problem, mesh, SolutionGrid(g, n)) for g in y])
+        blocks_of = lambda lo, hi: whole[:, lo:hi]
+    else:
+        blocks_of = functools.partial(blocks_of, y)
+    with np.errstate(all="ignore"):
+        dy, moved, singular = eliminate(blocks_of, b, m, _layout(n, left), SLAB)
+    return dy, ~moved, singular
+
+
 def relax(problem: Callable[[int, SolutionGrid], DifferenceBlock],
           mesh: Mesh, initial: SolutionGrid,
           config: RelaxConfig) -> RelaxOutcome:
@@ -274,37 +342,87 @@ def relax(problem: Callable[[int, SolutionGrid], DifferenceBlock],
     testing err < conv.  A grid whose residuals are all exactly zero
     converges immediately with zero correction.  Non-convergence (itmax
     exhausted, or a step that would leave the finite domain) is reported
-    through the outcome, not raised.
+    through the outcome, not raised; a singular block raises
+    SingularBlockError.  This is relax_batch with one grid.
     """
-    if initial.m != mesh.m:
-        raise ValueError("initial grid does not match the mesh")
-    n = initial.n_vars
-    if len(config.scalv) != n:
-        raise ValueError(f"scalv needs one entry per unknown ({n})")
+    out, = relax_batch(problem, mesh, [initial], [config])
+    if isinstance(out, SingularBlockError):
+        raise out
+    return out
+
+
+def relax_batch(problem, mesh: Mesh, initial, config) -> list:
+    """relax every grid of initial, each with its own config, in lockstep.
+
+    initial and config are equal-length sequences.  All grids share one
+    Newton loop: each sweep corrects every grid still iterating at once,
+    and a grid leaves the loop at exactly the sweep, and with exactly
+    the outcome, that relax would give it alone.  The result lists, in
+    order, each grid's RelaxOutcome, or the SingularBlockError its
+    elimination hit, so one singular grid does not stop the others.
+
+    The problem contract is relax's: a per-block problem(k, grid), or
+    problem.assemble(grid), is asked for each grid's sweep in turn.
+    For BATCH_MIN grids or more, problem.assemble_slab(y, lo, hi) is
+    used when present: blocks lo+1..hi of the sweep at every grid of
+    the stacked (B, N, M) array y, as (B, hi-lo, N, 2N+1).  The engine
+    then never holds a batch's whole sweep.
+    """
+    grids, configs = list(initial), list(config)
+    if len(grids) != len(configs):
+        raise ValueError("need one config per initial grid")
+    if not grids:
+        return []
+    n = grids[0].n_vars
+    for grid, cfg in zip(grids, configs):
+        if grid.m != mesh.m:
+            raise ValueError("initial grid does not match the mesh")
+        if grid.n_vars != n:
+            raise ValueError("initial grids differ in their number of unknowns")
+        if len(cfg.scalv) != n:
+            raise ValueError(f"scalv needs one entry per unknown ({n})")
     left = tuple(getattr(problem, "left", LEFT))
     _split(n, left)
-    assemble = getattr(problem, "assemble", None)
-    y = np.array(initial.y, dtype=float)
+    y = np.stack([grid.y for grid in grids])
+    del grids, initial                  # the loop needs only the stacked copy
+    scalv = np.array([cfg.scalv for cfg in configs])
+    slowc = np.array([cfg.slowc for cfg in configs])
+    conv = np.array([cfg.conv for cfg in configs])
+    itmax = np.array([cfg.itmax for cfg in configs])
+    live = np.arange(len(y))            # members still iterating; rows of y
+    out = [None] * len(y)
     nvar = n * mesh.m
-    err = math.inf
-    for it in range(1, config.itmax + 1):
-        grid = SolutionGrid(y, n)
-        blocks = _stack(assemble(grid) if assemble is not None else
-                        [problem(k, grid) for k in range(1, mesh.m + 2)])
-        if blocks.shape[1] != n:
-            raise ValueError(f"blocks have {blocks.shape[1]} unknowns, the grid {n}")
-        if _exactly_solved(blocks, len(left)):
-            return RelaxOutcome(grid, it, 0.0, True)
-        dy = solve_block_system(blocks, left)
-        err = float(sum(np.abs(dy[j]).sum() / config.scalv[j]
-                        for j in range(n))) / nvar
-        if not math.isfinite(err):
-            return RelaxOutcome(grid, it, math.inf, False)
-        fac = config.slowc / max(config.slowc, err)
-        stepped = y + fac * dy
-        if not np.isfinite(stepped).all():
-            return RelaxOutcome(grid, it, err, False)
-        y = stepped
-        if err < config.conv:
-            return RelaxOutcome(SolutionGrid(y, n), it, err, True)
-    return RelaxOutcome(SolutionGrid(y, n), config.itmax, err, False)
+    it = 0
+    while live.size:
+        it += 1
+        dy, exact, singular = _corrections(problem, mesh, y, left)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # err as a per-unknown loop sums it, then y + fac*dy in place;
+            # rows that do not step get values that are never used
+            terms = np.abs(dy).sum(axis=2) / scalv[live]
+            err = terms[:, 0]
+            for j in range(1, n):
+                err = err + terms[:, j]
+            err = err / nvar
+            dy *= (slowc[live] / np.maximum(slowc[live], err))[:, None, None]
+            dy += y
+        finite = np.isfinite(err)
+        stepped = ~exact & (singular == 0) & finite & np.isfinite(dy).all(axis=(1, 2))
+        np.copyto(y, dy, where=stepped[:, None, None])
+        done = stepped & ((err < conv[live]) | (it == itmax[live]))
+        for i in np.flatnonzero(~stepped | done):
+            if exact[i]:
+                result = RelaxOutcome(SolutionGrid(y[i], n), it, 0.0, True)
+            elif singular[i]:
+                result = SingularBlockError(int(singular[i]))
+            elif not finite[i]:
+                result = RelaxOutcome(SolutionGrid(y[i], n), it, math.inf, False)
+            else:
+                result = RelaxOutcome(SolutionGrid(y[i], n), it, float(err[i]),
+                                      bool(stepped[i] and err[i] < conv[live[i]]))
+            out[live[i]] = result
+        keep = stepped & ~done
+        if not keep.all():
+            live, y = live[keep], y[keep]
+        del dy                          # before the next sweep allocates its own
+    return out

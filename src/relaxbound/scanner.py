@@ -10,6 +10,7 @@ the spectrum beforehand.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 
@@ -20,7 +21,8 @@ from .oracles import hydrogen_energy, hydrogen_radial, linear_energy, linear_rad
 from .problems import (ORIGINAL, block_builder, default_config, initial_guess,
                        is_normalized, level_guess, normalized_builder,
                        solve_bound_state)
-from .relax import SingularBlockError, relax
+# relax stays importable here: bench/spans.py wraps scanner.relax by name
+from .relax import SingularBlockError, relax, relax_batch
 
 
 def roughness(grid: SolutionGrid, mesh: Mesh) -> float:
@@ -96,7 +98,9 @@ def scan(spec: ProblemSpec, mesh: Mesh, config: RelaxConfig | None,
     picks the difference system as in solve_bound_state.  In the
     normalised one every guess of a window around a level relaxes to
     that level, so selected_guess is then one of many equivalent starts
-    and selected_relaxed is the selected state.
+    and selected_relaxed is the selected state.  All guesses relax
+    together in one relax_batch call; each entry is exactly what
+    relaxing its guess alone would give.
     """
     if not e_min < e_max:
         raise ValueError("need e_min < e_max")
@@ -104,24 +108,23 @@ def scan(spec: ProblemSpec, mesh: Mesh, config: RelaxConfig | None,
         raise ValueError("need at least two scan steps")
     build = (normalized_builder(mesh, spec) if is_normalized(formulation)
              else block_builder(mesh, spec))
-    entries = []
-    for guess in np.linspace(e_min, e_max, steps):
-        guess = float(guess)
+    guesses = [float(g) for g in np.linspace(e_min, e_max, steps)]
+    configs = []
+    for guess in guesses:
         cfg = (config if config is not None
                else default_config(spec, guess, formulation))
         scale = abs(level_guess(spec, guess))
-        cfg = replace(cfg, scalv=cfg.scalv[:2]
-                      + (scale if scale > 0.0 else cfg.scalv[2],)
-                      + cfg.scalv[3:])
-        start = initial_guess(spec, mesh, guess, formulation)
-        try:
-            outcome = relax(build, mesh, start, cfg)
-        except SingularBlockError:
+        configs.append(replace(cfg, scalv=cfg.scalv[:2]
+                               + (scale if scale > 0.0 else cfg.scalv[2],)
+                               + cfg.scalv[3:]))
+    starts = (initial_guess(spec, mesh, guess, formulation) for guess in guesses)
+    entries = []
+    for guess, outcome in zip(guesses, relax_batch(build, mesh, starts, configs)):
+        if isinstance(outcome, SingularBlockError):
             entries.append(ScanEntry(guess, False, math.nan, math.inf))
-            continue
-        entries.append(ScanEntry(guess, outcome.converged,
-                                 outcome.grid.energy,
-                                 roughness(outcome.grid, mesh)))
+        else:
+            entries.append(ScanEntry(guess, outcome.converged, outcome.grid.energy,
+                                     roughness(outcome.grid, mesh)))
     idx = _select(entries)
     return ScanReport(entries=tuple(entries), selected=idx,
                       selected_guess=entries[idx].e_guess,
@@ -173,14 +176,27 @@ def sample_exact_curve(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
     return out
 
 
+def write_curve(x: np.ndarray, values: np.ndarray, path, fmt: str = "dat",
+                **fields) -> None:
+    """Write a curve with its values normalised to unit peak |value|.
+
+    fmt "dat" writes 'x value' lines; "json" writes fields, then the x
+    and value lists, as one JSON object.
+    """
+    values = values / max(np.abs(values).max(), 1e-300)
+    with open(path, "w") as fh:
+        if fmt == "dat":
+            fh.writelines(f"{xk:.6f} {vk:.6f}\n" for xk, vk in zip(x, values))
+        else:
+            json.dump({**fields, "x": x.tolist(), "value": values.tolist()}, fh,
+                      indent=1)
+
+
 def write_wavefunction(grid: SolutionGrid, mesh: Mesh, path) -> None:
     """Write 'x value' lines, value normalised to unit peak |value|."""
     if grid.m != mesh.m:
         raise ValueError("grid does not match the mesh")
-    denom = max(np.abs(grid.wavefunction).max(), 1e-300)
-    with open(path, "w") as fh:
-        for xk, wk in zip(mesh.x, grid.wavefunction):
-            fh.write(f"{xk:.6f} {wk / denom:.6f}\n")
+    write_curve(mesh.x, grid.wavefunction, path)
 
 
 # Reference eigenvalues (single-precision runs of the same scheme) used

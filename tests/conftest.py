@@ -11,16 +11,28 @@ which the array code must reproduce bit for bit.  reference_elimination
 does the same for the block solver: the same pivots and arithmetic
 written as plain loops over index lists.
 
+reference_relax and reference_scan are the routes for checking the
+lockstep engine: the one-grid Newton loop and the guess-by-guess scan,
+on solve_block_system, that relax_batch and scan must reproduce
+exactly.
+
 linear_level is the independent route for the linear potential's
 levels at any l: a second-order finite-difference Hamiltonian in r
 itself (no compactification, no relaxation), diagonalised by scipy.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from relaxbound import (DifferenceBlock, Mesh, Potential, ProblemSpec,
-                        SolutionGrid, block_builder)
+                        RelaxOutcome, ScanEntry, ScanReport,
+                        SingularBlockError, SolutionGrid, block_builder,
+                        default_config, initial_guess, level_guess,
+                        normalized_builder, roughness, solve_block_system)
+from relaxbound.scanner import _select
 
 N = 3
 RHS = 6
@@ -142,6 +154,56 @@ def reference_elimination(s, left=(0,)):
                 val -= c * xv
             dy[v][point] = val
     return np.array(dy)
+
+
+def reference_relax(problem, mesh, initial, config):
+    """relax for one grid, one sweep after another."""
+    n, nl = initial.n_vars, len(getattr(problem, "left", (0,)))
+    y = np.array(initial.y)
+    err = math.inf
+    for it in range(1, config.itmax + 1):
+        grid = SolutionGrid(y, n)
+        s = (problem.assemble(grid) if hasattr(problem, "assemble") else
+             np.array([problem(k, grid).s for k in range(1, mesh.m + 2)]))
+        if not (s[0, n - nl:, -1].any() or s[1:-1, :, -1].any()
+                or s[-1, :n - nl, -1].any()):
+            return RelaxOutcome(grid, it, 0.0, True)
+        dy = solve_block_system(s, getattr(problem, "left", (0,)))
+        err = float(sum(np.abs(dy[j]).sum() / config.scalv[j] for j in range(n))) / (n * mesh.m)
+        if not math.isfinite(err):
+            return RelaxOutcome(grid, it, math.inf, False)
+        with np.errstate(over="ignore"):
+            stepped = y + config.slowc / max(config.slowc, err) * dy
+        if not np.isfinite(stepped).all():
+            return RelaxOutcome(grid, it, err, False)
+        y = stepped
+        if err < config.conv:
+            return RelaxOutcome(SolutionGrid(y, n), it, err, True)
+    return RelaxOutcome(SolutionGrid(y, n), config.itmax, err, False)
+
+
+def reference_scan(spec, mesh, config, e_min, e_max, steps,
+                   formulation="original"):
+    """scan's report, built by relaxing one guess at a time."""
+    build = (normalized_builder if formulation == "normalized"
+             else block_builder)(mesh, spec)
+    entries = []
+    for guess in np.linspace(e_min, e_max, steps):
+        guess = float(guess)
+        cfg = config if config is not None else default_config(spec, guess, formulation)
+        scale = abs(level_guess(spec, guess))
+        cfg = replace(cfg, scalv=cfg.scalv[:2] + (scale if scale > 0.0 else cfg.scalv[2],)
+                      + cfg.scalv[3:])
+        try:
+            out = reference_relax(build, mesh, initial_guess(spec, mesh, guess, formulation),
+                                  cfg)
+        except SingularBlockError:
+            entries.append(ScanEntry(guess, False, math.nan, math.inf))
+            continue
+        entries.append(ScanEntry(guess, out.converged, out.grid.energy,
+                                 roughness(out.grid, mesh)))
+    idx = _select(entries)
+    return ScanReport(tuple(entries), idx, entries[idx].e_guess, entries[idx].relaxed_e)
 
 
 def linear_level(l, n=1, mu=0.75, lam=5.0, r_max=12.0, points=20000):

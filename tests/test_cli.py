@@ -179,6 +179,26 @@ def test_oracle_json_curve(tmp_path, capsys):
     assert len(payload["x"]) == 41
 
 
+def test_curve_writers_keep_their_layout(tmp_path, capsys):
+    # solve and oracle share one curve writer; their files keep the
+    # field order, indentation and number format they always had
+    paths = {name: tmp_path / name for name in ("s.json", "o.json", "s.dat", "o.dat")}
+    for cmd, name in (("solve", "s"), ("oracle", "o")):
+        for fmt in ("json", "dat"):
+            extra = ["--guess", "-13.6"] if cmd == "solve" else []
+            cli.main([cmd, *extra, "--mesh-points", "11", "--format", fmt,
+                      "--out", str(paths[f"{name}.{fmt}"])])
+    capsys.readouterr()
+    for name, fields in (("s", ["converged", "iterations", "final_err", "eigenvalue"]),
+                         ("o", ["eigenvalue"])):
+        text = paths[f"{name}.json"].read_text()
+        payload = json.loads(text)
+        assert list(payload) == fields + ["x", "value"]
+        assert text == json.dumps(payload, indent=1)
+        assert paths[f"{name}.dat"].read_text() == "".join(
+            f"{x:.6f} {v:.6f}\n" for x, v in zip(payload["x"], payload["value"]))
+
+
 def test_oracle_spinning_linear_state_exits_two(capsys):
     rc = cli.main(["oracle", "--potential", "linear", "--l", "1"])
     err = capsys.readouterr().err

@@ -201,3 +201,31 @@ def test_spec_rejects_nonfinite_a0(a0):
 def test_spec_rejects_bad_quantum_numbers(n, l):
     with pytest.raises(ValueError):
         ProblemSpec.linear(n, l)
+
+
+@pytest.mark.parametrize("n, l", [(1, 0.5), (1.0, 0), (True, 0), (2, False),
+                                  (np.float64(2.0), 1)])
+@pytest.mark.parametrize("make", [ProblemSpec.coulomb, ProblemSpec.linear],
+                         ids=["coulomb", "linear"])
+def test_spec_rejects_non_integer_quantum_numbers(make, n, l):
+    with pytest.raises(ValueError, match="integers"):
+        make(n, l)
+
+
+def test_spec_takes_numpy_integer_quantum_numbers():
+    spec = ProblemSpec.linear(np.int64(2), np.int32(1))
+    assert (spec.n, spec.l) == (2, 1)
+
+
+@pytest.mark.parametrize("itmax", [True, False, 3.0, np.float64(3.0)])
+def test_relax_config_rejects_non_integer_itmax(itmax):
+    with pytest.raises(ValueError, match="itmax"):
+        RelaxConfig(itmax=itmax)
+
+
+@pytest.mark.parametrize("m", [101.0, True, np.float64(11.0)])
+def test_mesh_rejects_non_integer_point_counts(m):
+    with pytest.raises(ValueError, match="integer"):
+        Mesh.uniform(m)
+    with pytest.raises(ValueError, match="integer"):
+        Mesh(m=m, h=0.1, x=np.linspace(0.0, 1.0, 11))

@@ -10,7 +10,7 @@ from relaxbound import (Mesh, ProblemSpec, RelaxConfig, ScanEntry, ScanReport,
                         hydrogen_radial, level_guess, reproduce_tables,
                         roughness, sample_exact_curve, scan, scan_diagnostics,
                         write_wavefunction)
-from relaxbound.relax import SingularBlockError
+from relaxbound.relax import DifferenceBlock
 from relaxbound.scanner import (REFERENCE_COULOMB, REFERENCE_LINEAR,
                                 REFERENCE_SCAN_LINEAR, _select)
 
@@ -121,16 +121,22 @@ def test_scan_reports_every_guess_nonconverged_via_selection_error(mesh101):
 
 
 def test_scan_absorbs_singular_eliminations(mesh101, monkeypatch):
+    # the guess at 6.0 gets an all-zero block k = 17, so its elimination
+    # is singular while its neighbours relax on
     import relaxbound.scanner as scanner_mod
     spec = ProblemSpec.linear(1, 0)
-    real_relax = scanner_mod.relax
+    real_builder = scanner_mod.block_builder
 
-    def sometimes_singular(build, mesh, start, cfg):
-        if abs(start.energy - 6.0) < 1e-12:
-            raise SingularBlockError(17)
-        return real_relax(build, mesh, start, cfg)
+    def sometimes_singular(mesh, spec):
+        build = real_builder(mesh, spec)
 
-    monkeypatch.setattr(scanner_mod, "relax", sometimes_singular)
+        def blocks(k, grid):
+            if k == 17 and abs(grid.energy - 6.0) < 1e-12:
+                return DifferenceBlock(np.zeros((3, 7)))
+            return build(k, grid)
+        return blocks
+
+    monkeypatch.setattr(scanner_mod, "block_builder", sometimes_singular)
     report = scan(spec, mesh101, None, 5.8, 6.2, 3)
     poisoned = report.entries[1]
     assert poisoned.e_guess == 6.0
