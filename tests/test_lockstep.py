@@ -22,7 +22,8 @@ relax_mod = import_module("relaxbound.relax")
 
 def solve_block_batch(blocks, left=(0,)):
     """Corrections and first singular block (0 for none) of each system
-    in the (B, M+1, N, 2N+1) stack, in one lockstep elimination."""
+    in the (B, M+1, N, 2N+1) stack, by one lockstep elimination fed four
+    blocks at a time, so slab edges fall inside the mesh."""
     with np.errstate(all="ignore"):
         dy, _, singular = eliminate(lambda lo, hi: blocks[:, lo:hi], len(blocks),
                                     blocks.shape[1] - 1,
