@@ -1,14 +1,14 @@
 """Lockstep elimination: one block-tridiagonal solve for B systems at once.
 
-relax.solve_block_system eliminates one system block by block in
-straight-line Python.  eliminate runs the same stages for a batch of
-systems of one layout, with numpy calls over the batch: every member
-gets its own pivots by relax._gauss_jordan's rule and the same
-multiply/subtract sequence, so its corrections have the same bits as
-solving it alone.  Within a stage the batch axis is last, and a stage's
-working columns are its RHS, its r sub columns, then its trailing
-carry columns.  A singular member's arithmetic goes on as garbage,
-which is why callers run this under np.errstate(all="ignore").
+relax.solve_block_system runs one system through the stage kernels of
+relax._Layout.  eliminate runs the same stages for a batch of systems
+of one layout, with numpy calls over the batch: every member gets its
+own pivots by the same pivot rule (relax._Layout) and multiply/subtract
+sequence, so its corrections have the same bits as solving it alone.
+Within a stage the batch axis is last, and a stage's working columns
+are its RHS, its r sub columns, then its trailing carry columns.  A
+singular member's arithmetic goes on as garbage, which is why callers
+run this under np.errstate(all="ignore").
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 
 def _pivot(x: np.ndarray, r: int, ar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """relax._gauss_jordan on every member of x (r, w, B) at once.
+    """The stage kernels' pivot rule on every member of x (r, w, B) at once.
 
     Per member and step: the first largest open |entry| of each row,
     then the first largest of those maxima times the row's scale, then
@@ -72,12 +72,9 @@ def eliminate(blocks_of, b: int, m: int, lay, slab: int):
     singular = np.zeros((m + 1, b), dtype=bool)    # per stage
     # per kind of stage: its rows, the working columns, the offset of
     # the point whose pinned unknowns it substitutes, the relation columns
-    rhs = [2 * n]
-    first = (slice(n - nl, n), rhs + lay.pinned_cols + lay.trailing_cols, None,
-             np.r_[0, nl + 1:nl + 1 + t])
-    inner = (slice(0, n), rhs + lay.interior_cols + lay.trailing_cols, 0,
-             np.r_[0, n + 1:n + 1 + t])
-    last = (slice(0, n - nl), rhs + lay.trailing_cols, n, np.r_[0])
+    first, inner, last = [(slice(rows.start, rows.stop), carry[-1:] + sub + carry[:-1],
+                           offset, np.r_[0, len(sub) + 1:len(sub) + len(carry)])
+                          for rows, sub, carry, offset in lay.kinds]
     idx = 0
     for lo in range(0, m + 1, slab):
         run = np.moveaxis(blocks_of(lo, min(lo + slab, m + 1)), 0, -1)

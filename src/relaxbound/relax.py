@@ -17,18 +17,14 @@ left = (0, 3) (y1 = 0 and y4 = 0).  This is the layout of solvde in
 Numerical Recipes, section 17.3, with the pinned unknowns named rather
 than required to come first.
 
-The linear system S*delta = -E is block tridiagonal.  With a sweep's
-blocks held as one (M+1, N, 2N+1) array, it is solved by the usual
-forward pivot/eliminate/reduce sweep, one block at a time, followed by
-back-substitution, never materialising the dense matrix.
-
-relax_batch runs one Newton loop over B grids (relax is its B = 1
-case), as a scan relaxes a window of guesses.  Their systems are
-eliminated in lockstep: stage by stage, numpy calls over the batch
-apply every member's own pivots with the same rule and arithmetic, so
-each grid stops at the same sweep with the same bits as it would alone.
-A batch is assembled a few blocks at a time, so only the relations that
-back-substitution needs are held for the whole mesh.
+The linear system S*delta = -E is block tridiagonal.  It is solved
+stage by stage and back-substituted, never materialising the dense
+matrix.  One system runs through stage kernels written as straight-line
+Python per layout.  relax_batch runs one Newton loop over B grids (relax
+is B = 1), as a scan relaxes a window of guesses; a large batch is
+eliminated in lockstep, numpy calls that apply every member's own
+pivots with the same rule and arithmetic, so each grid stops at the
+same sweep with the same bits as it would alone.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -85,64 +80,6 @@ def _stack(blocks) -> np.ndarray:
     return s
 
 
-def _gauss_jordan(rows, sub_cols, carry, k: int) -> list[list[float]]:
-    """Diagonalise the square sub-block; return the pivot row of each sub column.
-
-    Pivots are chosen scaled-partial style: each unassigned row offers
-    its largest |entry| over the unassigned sub_cols, weighted by the
-    row's initial scale; ties keep the lowest row and column index.  A
-    zero scale or zero pivot means the block cannot determine its
-    variables.  Only the unassigned sub columns and the carry columns
-    (the relation columns and the RHS) are updated, since no other
-    entry is read again.
-    """
-    scale = []
-    for row in rows:
-        big = abs(row[sub_cols[0]])
-        for c in sub_cols[1:]:
-            v = abs(row[c])
-            if v > big:
-                big = v
-        if not big > 0.0:
-            raise SingularBlockError(k)
-        scale.append(1.0 / big)
-
-    open_cols = list(sub_cols)
-    free = list(range(len(rows)))
-    pivots = [None] * len(sub_cols)
-    for _ in sub_cols:
-        best = 0.0
-        prow = pcol = -1
-        for i in free:
-            row = rows[i]
-            big = 0.0
-            jp = -1
-            for c in open_cols:
-                v = abs(row[c])
-                if v > big:
-                    big = v
-                    jp = c
-            if big * scale[i] > best:
-                best = big * scale[i]
-                prow, pcol = i, jp
-        if prow < 0:
-            raise SingularBlockError(k)
-        open_cols.remove(pcol)
-        free.remove(prow)
-        live = open_cols + carry
-        piv = rows[prow]
-        inv = 1.0 / piv[pcol]
-        for c in live:
-            piv[c] *= inv
-        for row in rows:
-            f = row[pcol]
-            if row is not piv and f != 0.0:
-                for c in live:
-                    row[c] -= f * piv[c]
-        pivots[sub_cols.index(pcol)] = piv
-    return pivots
-
-
 def _split(n: int, left) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(left, trailing) unknowns: those the left conditions pin, the rest."""
     left = tuple(left)
@@ -153,51 +90,43 @@ def _split(n: int, left) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _compile(name: str, lines: list[str]):
-    namespace = {}
+    namespace = {"SingularBlockError": SingularBlockError}
     exec("\n".join(lines), namespace)
     return namespace[name]
 
 
 class _Layout:
-    """Index plan and stage arithmetic for N unknowns with `left` pinned.
+    """Index plan and stage kernels for N unknowns with `left` pinned.
 
     Every stage leaves, per unknown it solves for, a relation
     delta = p[-1] - sum(p[j]*delta_t_j) over the trailing unknowns t_j
     of the stage's rightmost point (the carry columns of its pivot row);
     the relations for the pinned unknowns of that point come last.
-    Substituting those relations into the next block and
-    back-substituting are a few multiply-subtracts per mesh point, so
-    they are written out as straight-line Python once per layout (the
-    statements a hand-written N = 3 solver holds).  Loops over index
-    lists made the whole elimination about 35% slower.
+
+    A stage eliminates its square sub-block Gauss-Jordan style by the
+    pivot rule, which lockstep.eliminate follows too: each row's scale is
+    1/max|entry| over its sub columns, taken once (zero, or NaN first, is
+    singular); at each step every unassigned row offers its first largest
+    |entry| over the open sub columns, the first row whose offer times
+    its scale is largest wins (a NaN never wins; a step without a
+    positive product is singular), and the pivot row, divided by the
+    pivot, is subtracted f times from each other row with f != 0.0, over
+    the open sub and carry columns only.  stages and back_substitute are
+    straight-line Python written once per layout.
     """
 
     def __init__(self, n: int, left: tuple[int, ...]):
         lead, trail = _split(n, left)
         nl = len(lead)
         self.n, self.n_left, self.lead, self.trail = n, nl, lead, trail
-        self.pinned_cols = [n + a for a in lead]
-        self.trailing_cols = [n + t for t in trail]
-        self.carry = self.trailing_cols + [2 * n]
-        self.relation = itemgetter(*self.carry)
-        self.interior_cols = list(trail) + self.pinned_cols
-        # substitute(rows, pivots): the previous stage's relations for
-        # the pinned unknowns (its last n_left relations) into rows whose
-        # columns for that point start at `offset`; residuals to the RHS
-        self.substitute = [
-            _compile("substitute", [
-                "def substitute(rows, pivots):",
-                *(f" q{i} = pivots[{i - nl}]" for i in range(nl)),
-                " for row in rows:",
-                "  row[-1] = -row[-1]",
-                *(line for i, a in enumerate(lead) for line in (
-                    f"  f = row[{offset + a}]",
-                    "  if f != 0.0:",
-                    *(f"   row[{offset + t}] -= f * q{i}[{j}]"
-                      for j, t in enumerate(trail)),
-                    f"   row[-1] -= f * q{i}[-1]")),
-                " return rows"])
-            for offset in (0, n)]
+        pinned, trailing = [n + a for a in lead], [n + t for t in trail]
+        # per kind of stage (left boundary, interior, right boundary): the
+        # rows it reads, its sub and carry columns, and where the columns
+        # of the point whose pinned unknowns the previous stage relates start
+        self.kinds = [(range(n - nl, n), pinned, trailing + [2 * n], None),
+                      (range(n), [*trail, *pinned], trailing + [2 * n], 0),
+                      (range(n - nl), trailing, [2 * n], n)]
+        self.stages = [_compile("stage", self._stage(*kind)) for kind in self.kinds]
 
         def value(p):
             return f"{p}[-1]" + "".join(f" - {p}[{j}] * x{t}"
@@ -216,6 +145,84 @@ class _Layout:
             *(f" x{t} = d{t}[0]" for t in trail),
             *(f" d{a}[0] = {value(f'rels[0][{i}]')}" for i, a in enumerate(lead)),
             " return dy"])
+
+    def _stage(self, rows: range, sub: list[int], carry: list[int], offset) -> list[str]:
+        """Source of stage(block, prev, k), the kernel of one kind of stage.
+
+        It reads its rows of the block (nested lists), negates the RHS,
+        substitutes prev's last n_left relations (unless offset is None),
+        eliminates by the pivot rule, raising SingularBlockError(k) where
+        that fails, and returns each sub column's relation in sub order.
+        Row i's entries are locals a{i}_{j} (sub) and c{i}_{j} (carry).
+        A step rotates its pivot row and column to position `step`,
+        keeping the others in order, so the searches stay first-largest
+        and the source grows as r**3, where unrolling every pivot order
+        grows as r! (2,075 lines for the N = 4 interior stage, not 327).
+        """
+        n, lead, trail, r, w = self.n, self.lead, self.trail, len(sub), len(carry)
+        names = {col: f"a{{}}_{j}" for j, col in enumerate(sub)}
+        names.update({col: f"c{{}}_{j}" for j, col in enumerate(carry)})
+        names.update({col + offset: f"f{{}}_{j}" for j, col in enumerate(lead)
+                      if offset is not None})
+
+        def rotate(group):              # the last to the front, the rest in order
+            return f"  {', '.join(group)} = {', '.join(group[-1:] + group[:-1])}"
+
+        def search(i, step):            # row i's offer: its first largest |entry|, scaled
+            # the first step's search also takes the row's scale: starting
+            # from |entry 0| rather than 0.0 changes b or jp only when that
+            # entry is NaN, and then the row is singular
+            first = step == 0
+            return [*([f" b = abs(a{i}_0)", " jp = 0"] if first else [" b = 0.0"]),
+                    *(line for j in range(step + first, r) for line in (
+                        f" v = abs(a{i}_{j})", f" if v > b: b = v; jp = {j}")),
+                    *([" if not b > 0.0: raise SingularBlockError(k)", f" s{i} = 1.0 / b"]
+                      if first else []),
+                    f" v = b * s{i}", f" if v > best: best = v; prow = {i}; pcol = jp"]
+
+        def live(i, step):              # row i's entries still read from step on
+            return [f"a{i}_{j}" for j in range(step, r)] + [f"c{i}_{j}" for j in range(w)]
+
+        rhs = [f"c{i}_{w - 1}" for i in range(r)]
+        unpack = ", ".join("(" + ", ".join(names.get(col, "_").format(rows.index(row))
+                                           for col in range(2 * n + 1)) + ")"
+                           if row in rows else "_" for row in range(n))
+        lines = ["def stage(block, prev, k):", f" {unpack} = block",
+                 *(f" {x} = -{x}" for x in rhs)]
+        for i in range(len(lead) if offset is not None else 0):
+            q = [f"q{i}_{j}" for j in range(len(trail) + 1)]
+            lines.append(f" {', '.join(q)} = prev[{i - len(lead)}]")
+            for row in range(r):
+                lines += [f" if f{row}_{i} != 0.0:",
+                          *(f"  {names[offset + u].format(row)} -= f{row}_{i} * {q[j]}"
+                            for j, u in enumerate(trail)),
+                          f"  {rhs[row]} -= f{row}_{i} * {q[-1]}"]
+        lines.append(f" {', '.join(f'o{j}' for j in range(r))}, = range({r})")
+        for step in range(r):
+            lines += [" best = 0.0", " prow = -1",
+                      *(line for i in range(step, r) for line in search(i, step)),
+                      " if prow < 0: raise SingularBlockError(k)"]
+            for p in range(step + 1, r):
+                lines += [f" {'el' if p > step + 1 else ''}if prow == {p}:",
+                          *map(rotate, zip(*(live(i, step) for i in range(step, p + 1)))),
+                          f"  {', '.join(f's{i}' for i in range(step + 1, p + 1))}"
+                          f" = {', '.join(f's{i}' for i in range(step, p))}"]
+            for p in range(step + 1, r):
+                lines += [f" {'el' if p > step + 1 else ''}if pcol == {p}:",
+                          *(rotate([f"a{i}_{j}" for j in range(step, p + 1)])
+                            for i in range(r)),
+                          rotate([f"o{j}" for j in range(step, p + 1)])]
+            piv = live(step, step + 1)
+            lines += [f" inv = 1.0 / a{step}_{step}", *(f" {x} *= inv" for x in piv)]
+            for i in range(r):
+                if i != step:
+                    lines += [f" if a{i}_{step} != 0.0:",
+                              *(f"  {x} -= a{i}_{step} * {y}"
+                                for x, y in zip(live(i, step + 1), piv))]
+        return [*lines, f" rel = [None] * {r}",
+                *(f" rel[o{i}] = {', '.join(f'c{i}_{j}' for j in range(w))},"
+                  for i in range(r)),
+                " return rel"]
 
 
 @functools.cache
@@ -237,19 +244,11 @@ def solve_block_system(blocks, left=LEFT) -> np.ndarray:
     if m < 2:
         raise ValueError("need a boundary block at each end and at least one interior block")
     lay = _layout(s.shape[1], tuple(left))
-    n, nl, carry, relation = lay.n, lay.n_left, lay.carry, lay.relation
-    interior, (into_prev, into_last) = lay.interior_cols, lay.substitute
-
-    rows = s[0].tolist()[n - nl:]
-    for row in rows:
-        row[-1] = -row[-1]
-    rels = [list(map(relation, _gauss_jordan(rows, lay.pinned_cols, carry, k=1)))]
-    for idx in range(1, m):
-        rows = into_prev(s[idx].tolist(), rels[-1])
-        rels.append(list(map(relation, _gauss_jordan(rows, interior, carry,
-                                                     k=idx + 1))))
-    rows = into_last(s[m].tolist()[:n - nl], rels[-1])
-    last = _gauss_jordan(rows, lay.trailing_cols, [2 * n], k=m + 1)
+    first, interior, right = lay.stages
+    rels = [first(s[0].tolist(), None, 1)]
+    for k, block in enumerate(s[1:m], 2):
+        rels.append(interior(block.tolist(), rels[-1], k))
+    last = right(s[m].tolist(), rels[-1], m + 1)
     return np.array(lay.back_substitute(rels, last, m))
 
 
@@ -267,7 +266,7 @@ def _exactly_solved(s: np.ndarray, n_left: int) -> bool:
 
 
 SLAB = 8                        # blocks assembled at a time in a batched sweep
-BATCH_MIN = 16                  # fewest grids worth eliminating together
+BATCH_MIN = 44                  # fewest grids worth eliminating together
 
 
 def _sweep_blocks(problem, mesh: Mesh, grid: SolutionGrid) -> np.ndarray:
@@ -288,15 +287,15 @@ def _corrections(problem, mesh: Mesh, y: np.ndarray, left: tuple[int, ...]):
     where a grid's elimination failed, else 0.
 
     This is the one place the engine forks.  Fewer than BATCH_MIN grids
-    are assembled whole and eliminated one at a time by
-    solve_block_system's generated straight-line Python.  From BATCH_MIN
-    on they are assembled SLAB blocks at a time and eliminated together
-    by lockstep.eliminate, numpy calls over the batch.  Numpy's per-call
-    overhead makes a batched sweep cost about the same for any batch of
-    up to a few dozen grids: at M = 101 it took 25-40 ms against 1.1-2.3
-    ms per grid for the straight-line kernel, so batching pays from about
-    16 grids, and on a single grid at M = 10001 it is 13 times slower
-    (2.2 s against 0.17 s per sweep; 2-core Xeon VM).  Both kernels give
+    are assembled whole and run one at a time through
+    solve_block_system's stage kernels; from BATCH_MIN on they are
+    assembled SLAB blocks at a time and eliminated by lockstep.eliminate,
+    whose numpy per-call overhead makes a sweep cost about the same for
+    any batch up to a few dozen grids.  At M = 101 that took 20-40 ms
+    against 0.5-0.9 ms per grid for the stage kernels, crossing over at
+    about 55-60 grids in the original formulation and 36-41 in the
+    normalised one; on one grid at M = 10001 it is about 30 times slower
+    (1.9 s against 0.05-0.07 s per sweep; 2-core VM).  Both kernels give
     the same bits.
     """
     b, n, m = y.shape

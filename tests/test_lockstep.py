@@ -51,9 +51,9 @@ def _assert_same_outcome(got, want):
 
 @pytest.mark.parametrize("formulation", ["original", "normalized"])
 @pytest.mark.parametrize("spec, e_min, e_max, steps", [
-    (ProblemSpec.coulomb(1, 0), -14.1, -13.1, 21),
-    (ProblemSpec.coulomb(1, 0), -1.0, 1.0, 17),
-    (ProblemSpec.linear(1, 2), 10.4, 11.3, 21),
+    (ProblemSpec.coulomb(1, 0), -14.1, -13.1, 45),
+    (ProblemSpec.coulomb(1, 0), -1.0, 1.0, 45),
+    (ProblemSpec.linear(1, 2), 10.4, 11.3, 45),
 ], ids=["coulomb-1s", "coulomb-zero-guess", "linear-l2"])
 def test_scan_matches_the_guess_by_guess_reference(spec, e_min, e_max, steps,
                                                    formulation, mesh101):
@@ -108,7 +108,7 @@ class Spoiled:
 def _mixed_members(mesh):
     spec = ProblemSpec.linear(1, 0)
     starts, configs = [], []
-    for i, guess in enumerate(np.linspace(5.0, 7.0, 16)):
+    for i, guess in enumerate(np.linspace(5.0, 7.0, 40)):
         starts.append(initial_guess(spec, mesh, float(guess)))
         configs.append(RelaxConfig(itmax=(1, 2, 3, 100)[i % 4],
                                    conv=(1e-3, 1e-6, 1e-12)[i % 3],

@@ -1,7 +1,10 @@
 """Block-tridiagonal Newton engine: structured elimination vs dense LU,
 stepping, damping, and failure reporting."""
 
+import itertools
 import math
+import tracemalloc
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -11,7 +14,12 @@ from relaxbound import (DifferenceBlock, Mesh, ProblemSpec, RelaxConfig,
                         block_builder, default_config, initial_guess,
                         level_guess, normalized_builder, relax,
                         solve_block_system, solve_bound_state)
+from relaxbound.lockstep import eliminate
 from conftest import dense_solve, reference_elimination, smooth_grid
+
+# the package re-exports a function named relax over its relax module
+relax_mod = import_module("relaxbound.relax")
+LAYOUTS = [(3, (0,)), (4, (0, 3))]
 
 
 def _zeros_block():
@@ -143,6 +151,102 @@ def test_elimination_matches_the_plain_loop_reference_exactly(
         blocks = build.assemble(grid)
         fast = solve_block_system(blocks, left=build.left)
         assert fast.tobytes() == reference_elimination(blocks, build.left).tobytes()
+
+
+# ---------------------------------------------------------- pivot paths --
+
+
+LOW = 49.0                  # 49 * (1/49) rounds to one ulp below 1
+# +/-1 sub-blocks whose steps tie on rows and columns: Hadamard for r = 2, 4
+TIES = {1: [[1]], 2: [[1, 1], [1, -1]], 3: [[1, 1, 1], [1, -1, 1], [1, 1, -1]],
+        4: [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]}
+
+
+def _stage_kinds(n, left):
+    """(rows, sub columns, carry columns) of the left boundary, interior
+    and right boundary stages of solve_block_system."""
+    trail = [v for v in range(n) if v not in left]
+    pinned, trailing = [n + a for a in left], [n + t for t in trail]
+    nl = len(left)
+    return [(range(n - nl, n), pinned, trailing + [2 * n]),
+            (range(n), trail + pinned, trailing + [2 * n]),
+            (range(n - nl), trailing, [2 * n])]
+
+
+def _forced_block(n, kind, cols, lows, rng):
+    """A block whose stage pivots on known rows and columns.
+
+    Row i of the stage has its largest entry, +/-LOW for the first
+    `lows` rows and +/-1.0 for the rest, in sub column cols[i].  Its
+    scaled offer is then one ulp below 1.0 or exactly 1.0, so the 1.0
+    rows win first, in order, then the LOW rows, in order (ties among
+    equal offers go to the first), each on its largest entry.  Each row
+    also holds smaller entries in the columns pivoted before its turn,
+    so elimination steps run without changing any open entry.  Returns
+    the block and the stage's rows in pivot order.
+    """
+    rows, sub, carry = kind
+    order = [*range(lows, len(rows)), *range(lows)]
+    s = np.zeros((n, 2 * n + 1))
+    for step, i in enumerate(order):
+        sign = rng.choice([-1.0, 1.0])
+        s[rows[i], sub[cols[i]]] = sign * (LOW if i < lows else 1.0)
+        for j in order[:step]:
+            s[rows[i], sub[cols[j]]] = rng.uniform(-0.9, 0.9)
+        s[rows[i], carry] = rng.normal(size=len(carry))
+    return s, order
+
+
+def _forced_system(n, left, m, rng):
+    """M+1 blocks that each pivot on their diagonal, in order."""
+    kinds = _stage_kinds(n, left)
+    kind_of = [kinds[0], *[kinds[1]] * (m - 1), kinds[2]]
+    return np.stack([_forced_block(n, kind, range(len(kind[0])), 0, rng)[0]
+                     for kind in kind_of])
+
+
+@pytest.mark.parametrize("n, left", LAYOUTS, ids=["original", "normalized"])
+def test_every_pivot_row_and_column_choice_matches_the_reference(n, left, rng):
+    # one stage of each kind pivots in every column order and with every
+    # count of LOW rows, so every step takes each free row and each open
+    # column it can, ties between equal offers included; a TIES stage
+    # ties between the largest entries of a row as well
+    m = 3
+    for where, kind in zip((0, 2, m), _stage_kinds(n, left)):
+        rows, sub, _ = kind
+        r = len(rows)
+        s = _forced_system(n, left, m, rng)
+        s[where][np.ix_(rows, sub)] = TIES[r]
+        fast = solve_block_system(s, left)
+        assert fast.tobytes() == reference_elimination(s, left).tobytes()
+        taken = set()
+        for cols in itertools.permutations(range(r)):
+            for lows in range(r + 1):
+                s = _forced_system(n, left, m, rng)
+                s[where], order = _forced_block(n, kind, cols, lows, rng)
+                fast = solve_block_system(s, left)
+                assert fast.tobytes() == reference_elimination(s, left).tobytes()
+                free, open_cols = list(range(r)), list(range(r))
+                for step, i in enumerate(order):
+                    taken.add((step, "row", free.index(i)))
+                    taken.add((step, "column", open_cols.index(cols[i])))
+                    free.remove(i)
+                    open_cols.remove(cols[i])
+        assert taken == {(step, what, slot) for step in range(r)
+                         for what in ("row", "column") for slot in range(r - step)}
+
+
+def test_stage_kernels_build_in_little_memory():
+    # the kernels' source grows as r**3; unrolling every pivot order
+    # instead grows as r! and peaked at 7 MB for one N = 4 stage
+    tracemalloc.start()
+    try:
+        for n, left in LAYOUTS:
+            relax_mod._Layout(n, left)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
 
 
 # ------------------------------------------------------------- stepping --
@@ -310,3 +414,25 @@ def test_singular_right_boundary_block_names_the_sentinel():
     with pytest.raises(SingularBlockError) as info:
         solve_block_system(blocks)
     assert info.value.k == m + 1
+
+
+@pytest.mark.parametrize("where", [0, 2, 3], ids=["left", "interior", "right"])
+@pytest.mark.parametrize("route", ["zero-row", "rows-alike", "last-alike"])
+def test_singular_normalized_stage_names_its_block(where, route, rng):
+    # a row with no nonzero sub entry fails at the scales; rows that are
+    # all nonzero but multiples of the first fail at a later pivot step
+    n, left, m = 4, (0, 3), 3
+    s = _forced_system(n, left, m, rng)
+    rows, sub, _ = _stage_kinds(n, left)[min(where, 1) if where < m else 2]
+    if route == "zero-row":
+        s[where, rows[-1], sub] = 0.0
+    else:
+        for row in rows[1:] if route == "rows-alike" else rows[-1:]:
+            s[where, row, sub] = -3.0 * s[where, rows[0], sub]
+    with pytest.raises(SingularBlockError) as info:
+        solve_block_system(s, left)
+    assert info.value.k == where + 1
+    with np.errstate(all="ignore"):
+        _, _, first_bad = eliminate(lambda lo, hi: s[None, lo:hi], 1, m,
+                                    relax_mod._layout(n, left), 2)
+    assert first_bad[0] == info.value.k
