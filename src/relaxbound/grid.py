@@ -152,14 +152,12 @@ class ProblemSpec:
     """Physics of one bound-state problem.
 
     coupling is e^2 for the Coulomb potential and the slope lambda for
-    the linear potential.  a0 is the Bohr radius used to rescale the
-    Coulomb equation; the linear problem carries a0 = 1 and ignores it.
+    the linear potential.
     """
 
     kind: Potential
     mu: float
     coupling: float
-    a0: float
     l: int
     n: int
 
@@ -170,21 +168,21 @@ class ProblemSpec:
             raise ValueError("n and l must be integers")
         if self.n < 1 or self.l < 0:
             raise ValueError("need n >= 1 and l >= 0")
+
+    @property
+    def a0(self) -> float:
+        """Bohr radius 1/(mu*e^2) that rescales the Coulomb equation; 1
+        for the linear problem, which does not use it."""
         if self.kind is Potential.COULOMB:
-            ref = 1.0 / (self.mu * self.coupling)
-            if not abs(self.a0 - ref) <= 1e-12 * ref:
-                raise ValueError("a0 must equal 1/(mu*e^2)")
-        elif not 0.0 < self.a0 < np.inf:
-            raise ValueError("a0 must be positive and finite")
+            return 1.0 / (self.mu * self.coupling)
+        return 1.0
 
     @classmethod
     def coulomb(cls, n: int, l: int, mu: float = HYDROGEN_MU,
                 coupling: float = HYDROGEN_E2) -> "ProblemSpec":
-        return cls(kind=Potential.COULOMB, mu=mu, coupling=coupling,
-                   a0=1.0 / (mu * coupling), l=l, n=n)
+        return cls(kind=Potential.COULOMB, mu=mu, coupling=coupling, l=l, n=n)
 
     @classmethod
     def linear(cls, n: int, l: int, mu: float = LINEAR_MU,
                coupling: float = LINEAR_LAMBDA) -> "ProblemSpec":
-        return cls(kind=Potential.LINEAR, mu=mu, coupling=coupling,
-                   a0=1.0, l=l, n=n)
+        return cls(kind=Potential.LINEAR, mu=mu, coupling=coupling, l=l, n=n)

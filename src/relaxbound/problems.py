@@ -35,46 +35,21 @@ real eigenstate whose level converges as O(h^2) (the normalisation
 condition of sfroid, Numerical Recipes section 17.4).
 
 block_builder and normalized_builder bind mesh and spec into the
-problem relax takes.  Its assemble(grid) builds a whole Newton sweep
-as one (M+1, N, 2N+1) array, row k-1 holding block k, and relax calls
-it once per sweep; assemble_slab(y, lo, hi) builds blocks lo+1..hi for
-a whole batch of grids, which relax_batch streams through; calling it
-as (k, grid) still returns the single DifferenceBlock k.
+problem relax takes.  Its assemble_batch(y) builds the whole Newton
+sweeps of a stack of grids as one (B, M+1, N, 2N+1) array, row k-1 of a
+sweep holding block k, and the engine calls it once per group of grids
+per sweep; assemble(grid) is its one-grid case, and calling the builder
+as (k, grid) returns the single DifferenceBlock k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Mesh, Potential, ProblemSpec, RelaxConfig, SolutionGrid
 from .relax import DifferenceBlock, RelaxOutcome, relax
-
-
-@dataclass(frozen=True)
-class MidpointState:
-    """Averages over one mesh interval, evaluated at its midpoint."""
-
-    xbar: float
-    y1: float
-    y2: float
-    y3: float
-
-    def __post_init__(self):
-        if not 0.0 < self.xbar < 1.0:
-            raise ValueError("midpoint must lie strictly inside (0, 1)")
-
-    @classmethod
-    def at(cls, k: int, mesh: Mesh, grid: SolutionGrid) -> "MidpointState":
-        """Midpoint state of the interval joining mesh points k-1 and k (1-based)."""
-        p, i = k - 2, k - 1
-        y = grid.y
-        return cls(xbar=0.5 * (mesh.x[p] + mesh.x[i]),
-                   y1=0.5 * (y[0, p] + y[0, i]),
-                   y2=0.5 * (y[1, p] + y[1, i]),
-                   y3=0.5 * (y[2, p] + y[2, i]))
 
 
 # (mass factor, potential term) of B for each potential, with omx = 1 - xb
@@ -86,40 +61,37 @@ _TERMS = {
 }
 
 
-def _assemble(mesh: Mesh, y: np.ndarray, spec: ProblemSpec, terms,
-              normalized: bool, lo: int, hi: int) -> np.ndarray:
-    """Blocks lo+1..hi of one Newton sweep at each grid of y (B, N, M).
+def _assemble(mesh: Mesh, y: np.ndarray, spec: ProblemSpec,
+              normalized: bool) -> np.ndarray:
+    """The whole Newton sweep at each grid of y (B, N, M).
 
-    Returns (B, hi-lo, N, 2N+1); row k-1-lo of a member's blocks is
-    block k.  Every entry is computed elementwise, so a block has the
-    same bits whichever slab or batch it is assembled in.
+    Returns (B, M+1, N, 2N+1); row k-1 of a member's sweep is block k.
+    Every entry is computed elementwise, so a block has the same bits
+    whichever batch it is assembled in.
     """
-    h, m = mesh.h, mesh.m
+    h = mesh.h
     n = 4 if normalized else 3
     c, rhs = n, 2 * n           # first column of point k; residual column
-    s = np.zeros((y.shape[0], hi - lo, n, rhs + 1))
-    if lo == 0:                 # y1 = 0 at x = 0; its rows are the block's last
-        s[:, 0, 2, c] = 1.0
-        s[:, 0, 2, rhs] = y[:, 0, 0]
-        if normalized:          # y4 = 0 at x = 0
-            s[:, 0, 3, c + 3] = 1.0
-            s[:, 0, 3, rhs] = y[:, 3, 0]
-    if hi == m + 1:             # y1 = 0 at x = 1
-        s[:, -1, 0, c] = 1.0
-        s[:, -1, 0, rhs] = y[:, 0, -1]
-        if normalized:          # y4 = 1 at x = 1
-            s[:, -1, 1, c + 3] = 1.0
-            s[:, -1, 1, rhs] = y[:, 3, -1] - 1.0
-        else:                   # y2 = 0 at x = 1
-            s[:, -1, 1, c + 1] = 1.0
-            s[:, -1, 1, rhs] = y[:, 1, -1]
-    first, stop = max(lo, 1), min(hi, m)    # interior blocks k = first+1..stop
-    if first >= stop:
-        return s
+    s = np.zeros((y.shape[0], mesh.m + 1, n, rhs + 1))
+    # y1 = 0 at x = 0; its rows are the block's last
+    s[:, 0, 2, c] = 1.0
+    s[:, 0, 2, rhs] = y[:, 0, 0]
+    if normalized:              # y4 = 0 at x = 0
+        s[:, 0, 3, c + 3] = 1.0
+        s[:, 0, 3, rhs] = y[:, 3, 0]
+    # y1 = 0 at x = 1
+    s[:, -1, 0, c] = 1.0
+    s[:, -1, 0, rhs] = y[:, 0, -1]
+    if normalized:              # y4 = 1 at x = 1
+        s[:, -1, 1, c + 3] = 1.0
+        s[:, -1, 1, rhs] = y[:, 3, -1] - 1.0
+    else:                       # y2 = 0 at x = 1
+        s[:, -1, 1, c + 1] = 1.0
+        s[:, -1, 1, rhs] = y[:, 1, -1]
 
-    x = mesh.x[first - 1:stop]
+    x = mesh.x
     xbar = 0.5 * (x[:-1] + x[1:])
-    yl, yr = y[:, :, first - 1:stop - 1], y[:, :, first:stop]
+    yl, yr = y[:, :, :-1], y[:, :, 1:]
     y1b, y2b, y3b = (0.5 * (yl[:, :3] + yr[:, :3])).transpose(1, 0, 2)
     dy = (yr - yl).transpose(1, 0, 2)
     omx = 1.0 - xbar
@@ -127,13 +99,13 @@ def _assemble(mesh: Mesh, y: np.ndarray, spec: ProblemSpec, terms,
     # C pow by an ulp at some midpoints
     omx4 = np.float_power(omx, 4.0)
     ratio = omx / xbar
-    mu_eff, potential = terms(xbar, omx, spec)
+    mu_eff, potential = _TERMS[spec.kind](xbar, omx, spec)
     bracket = (2.0 * mu_eff * (y3b + potential)
                - ratio * ratio * spec.l * (spec.l + 1))
     # first-derivative term per y2b, signed as the formulation has it
     drift = -(h / omx) if normalized else h / omx
 
-    mid = s[:, first - lo:stop - lo]
+    mid = s[:, 1:-1]
     mid[:, :, 0, [0, 1, c, c + 1]] = -1.0, -0.5 * h, 1.0, -0.5 * h
     mid[:, :, 0, rhs] = dy[0] - h * y2b
     mid[:, :, 1, 0] = mid[:, :, 1, c] = 0.5 * h * bracket / omx4
@@ -150,43 +122,29 @@ def _assemble(mesh: Mesh, y: np.ndarray, spec: ProblemSpec, terms,
     return s
 
 
-def coulomb_block(k: int, mesh: Mesh, grid: SolutionGrid,
-                  spec: ProblemSpec) -> DifferenceBlock:
-    """Difference block k for the Bohr-rescaled Coulomb equation."""
-    return BlockBuilder(mesh, spec, _TERMS[Potential.COULOMB])(k, grid)
-
-
-def linear_block(k: int, mesh: Mesh, grid: SolutionGrid,
-                 spec: ProblemSpec) -> DifferenceBlock:
-    """Difference block k for the linear confining potential."""
-    return BlockBuilder(mesh, spec, _TERMS[Potential.LINEAR])(k, grid)
-
-
 class BlockBuilder:
     """Mesh and physics bound into the problem relax expects.
 
-    assemble(grid) returns the whole sweep.  Calling the builder as
-    (k, grid) returns block k of the last grid's sweep, assembling and
-    keeping the sweep whenever the grid changes.  left names the
-    unknowns the left boundary rows determine.
+    assemble_batch(y) returns the whole sweeps at a stack of grids and
+    assemble(grid) the sweep at one.  Calling the builder as (k, grid)
+    returns block k of the last grid's sweep, assembling and keeping
+    the sweep whenever the grid changes.  left names the unknowns the
+    left boundary rows determine.
     """
 
-    def __init__(self, mesh: Mesh, spec: ProblemSpec, terms,
-                 normalized: bool = False):
-        self.mesh, self.spec, self._terms = mesh, spec, terms
-        self.normalized = normalized
+    def __init__(self, mesh: Mesh, spec: ProblemSpec, normalized: bool = False):
+        self.mesh, self.spec, self.normalized = mesh, spec, normalized
         self.left = (0, 3) if normalized else (0,)
         self._grid = self._blocks = None
 
+    def assemble_batch(self, y: np.ndarray) -> np.ndarray:
+        """The (B, M+1, N, 2N+1) sweeps at each grid of the stacked
+        (B, N, M) array y."""
+        return _assemble(self.mesh, y, self.spec, self.normalized)
+
     def assemble(self, grid: SolutionGrid) -> np.ndarray:
         """The (M+1, N, 2N+1) blocks of the sweep at grid."""
-        return self.assemble_slab(grid.y[None], 0, self.mesh.m + 1)[0]
-
-    def assemble_slab(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Blocks lo+1..hi of the sweep at each grid of the stacked
-        (B, N, M) array y, as (B, hi-lo, N, 2N+1)."""
-        return _assemble(self.mesh, y, self.spec, self._terms,
-                         self.normalized, lo, hi)
+        return self.assemble_batch(grid.y[None])[0]
 
     def __call__(self, k: int, grid: SolutionGrid) -> DifferenceBlock:
         if not 1 <= k <= self.mesh.m + 1:
@@ -199,12 +157,12 @@ class BlockBuilder:
 
 def block_builder(mesh: Mesh, spec: ProblemSpec) -> BlockBuilder:
     """Bind mesh and physics into the original (N = 3) problem."""
-    return BlockBuilder(mesh, spec, _TERMS[spec.kind])
+    return BlockBuilder(mesh, spec)
 
 
 def normalized_builder(mesh: Mesh, spec: ProblemSpec) -> BlockBuilder:
     """Bind mesh and physics into the normalised (N = 4) problem."""
-    return BlockBuilder(mesh, spec, _TERMS[spec.kind], normalized=True)
+    return BlockBuilder(mesh, spec, normalized=True)
 
 
 ORIGINAL, NORMALIZED = "original", "normalized"

@@ -19,12 +19,12 @@ than required to come first.
 
 The linear system S*delta = -E is block tridiagonal.  It is solved
 stage by stage and back-substituted, never materialising the dense
-matrix.  One system runs through stage kernels written as straight-line
-Python per layout.  relax_batch runs one Newton loop over B grids (relax
-is B = 1), as a scan relaxes a window of guesses; a large batch is
-eliminated in lockstep, numpy calls that apply every member's own
-pivots with the same rule and arithmetic, so each grid stops at the
-same sweep with the same bits as it would alone.
+matrix, through stage kernels written as straight-line Python per
+layout.  relax_batch runs one Newton loop over B grids (relax is
+B = 1), as a scan relaxes a window of guesses: each sweep assembles a
+few grids' whole sweeps at a time and runs every grid through the same
+stage kernels, so each grid stops at the same sweep with the same bits
+as it would alone.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import Callable
 import numpy as np
 
 from .grid import Mesh, RelaxConfig, SolutionGrid
-from .lockstep import eliminate
 
 LEFT = (0,)                     # unknowns pinned at x = 0 unless the problem says
 
@@ -103,30 +102,30 @@ class _Layout:
     of the stage's rightmost point (the carry columns of its pivot row);
     the relations for the pinned unknowns of that point come last.
 
-    A stage eliminates its square sub-block Gauss-Jordan style by the
-    pivot rule, which lockstep.eliminate follows too: each row's scale is
-    1/max|entry| over its sub columns, taken once (zero, or NaN first, is
-    singular); at each step every unassigned row offers its first largest
-    |entry| over the open sub columns, the first row whose offer times
-    its scale is largest wins (a NaN never wins; a step without a
-    positive product is singular), and the pivot row, divided by the
-    pivot, is subtracted f times from each other row with f != 0.0, over
-    the open sub and carry columns only.  stages and back_substitute are
-    straight-line Python written once per layout.
+    A stage eliminates its square sub-block Gauss-Jordan style by this
+    pivot rule: each row's scale is 1/max|entry| over its sub columns,
+    taken once (zero, or NaN first, is singular); at each step every
+    unassigned row offers its first largest |entry| over the open sub
+    columns, the first row whose offer times its scale is largest wins
+    (a NaN never wins; a step without a positive product is singular),
+    and the pivot row, divided by the pivot, is subtracted f times from
+    each other row with f != 0.0, over the open sub and carry columns
+    only.  stages and back_substitute are straight-line Python written
+    once per layout.
     """
 
     def __init__(self, n: int, left: tuple[int, ...]):
         lead, trail = _split(n, left)
         nl = len(lead)
-        self.n, self.n_left, self.lead, self.trail = n, nl, lead, trail
+        self.n, self.lead, self.trail = n, lead, trail
         pinned, trailing = [n + a for a in lead], [n + t for t in trail]
         # per kind of stage (left boundary, interior, right boundary): the
         # rows it reads, its sub and carry columns, and where the columns
         # of the point whose pinned unknowns the previous stage relates start
-        self.kinds = [(range(n - nl, n), pinned, trailing + [2 * n], None),
-                      (range(n), [*trail, *pinned], trailing + [2 * n], 0),
-                      (range(n - nl), trailing, [2 * n], n)]
-        self.stages = [_compile("stage", self._stage(*kind)) for kind in self.kinds]
+        kinds = [(range(n - nl, n), pinned, trailing + [2 * n], None),
+                 (range(n), [*trail, *pinned], trailing + [2 * n], 0),
+                 (range(n - nl), trailing, [2 * n], n)]
+        self.stages = [_compile("stage", self._stage(*kind)) for kind in kinds]
 
         def value(p):
             return f"{p}[-1]" + "".join(f" - {p}[{j}] * x{t}"
@@ -252,76 +251,61 @@ def solve_block_system(blocks, left=LEFT) -> np.ndarray:
     return np.array(lay.back_substitute(rels, last, m))
 
 
-def _exactly_solved(s: np.ndarray, n_left: int) -> bool:
-    """True when every meaningful residual entry is exactly zero.
-
-    Such a grid already solves the discrete system, so the Newton
-    correction is zero by definition and no elimination is needed; the
-    Jacobian may legitimately be singular there (on the all-zero trivial
-    solution the energy column vanishes entirely).
-    """
-    n = s.shape[1]
-    return not (s[0, n - n_left:, -1].any() or s[1:-1, :, -1].any()
-                or s[-1, :n - n_left, -1].any())
+GROUP_BLOCKS = 1024     # blocks per assembly: amortises numpy's call cost; 0.3 MB at N = 4
 
 
-SLAB = 8                        # blocks assembled at a time in a batched sweep
-BATCH_MIN = 44                  # fewest grids worth eliminating together
+def _sweeps(problem, y: np.ndarray) -> np.ndarray:
+    """The whole sweeps (B, M+1, N, 2N+1) at each grid of y (B, N, M).
 
-
-def _sweep_blocks(problem, mesh: Mesh, grid: SolutionGrid) -> np.ndarray:
-    """One grid's whole sweep, from problem.assemble or block by block."""
-    assemble = getattr(problem, "assemble", None)
-    blocks = _stack(assemble(grid) if assemble is not None else
-                    [problem(k, grid) for k in range(1, mesh.m + 2)])
-    if blocks.shape[1] != grid.n_vars:
-        raise ValueError(f"blocks have {blocks.shape[1]} unknowns, the grid {grid.n_vars}")
-    return blocks
-
-
-def _corrections(problem, mesh: Mesh, y: np.ndarray, left: tuple[int, ...]):
-    """Newton corrections of each grid in y (B, N, M).
-
-    Returns (dy, exact, singular): exact marks grids whose residuals are
-    all exactly zero (their dy is zero), singular holds the 1-based block
-    where a grid's elimination failed, else 0.
-
-    This is the one place the engine forks.  Fewer than BATCH_MIN grids
-    are assembled whole and run one at a time through
-    solve_block_system's stage kernels; from BATCH_MIN on they are
-    assembled SLAB blocks at a time and eliminated by lockstep.eliminate,
-    whose numpy per-call overhead makes a sweep cost about the same for
-    any batch up to a few dozen grids.  At M = 101 that took 20-40 ms
-    against 0.5-0.9 ms per grid for the stage kernels, crossing over at
-    about 55-60 grids in the original formulation and 36-41 in the
-    normalised one; on one grid at M = 10001 it is about 30 times slower
-    (1.9 s against 0.05-0.07 s per sweep; 2-core VM).  Both kernels give
-    the same bits.
+    From problem.assemble_batch(y) when present, else problem(k, grid)
+    for k = 1..M+1, one grid after another.
     """
     b, n, m = y.shape
-    if b < BATCH_MIN:
-        dy, exact, singular = [], np.zeros(b, dtype=bool), np.zeros(b, dtype=int)
-        for i, g in enumerate(y):
-            blocks = _sweep_blocks(problem, mesh, SolutionGrid(g, n))
-            exact[i] = _exactly_solved(blocks, len(left))
+    assemble_batch = getattr(problem, "assemble_batch", None)
+    if assemble_batch is not None:
+        s = np.asarray(assemble_batch(y), dtype=float)
+    else:
+        s = np.stack([_stack([problem(k, grid) for k in range(1, m + 2)])
+                      for grid in (SolutionGrid(g, n) for g in y)])
+    if s.shape != (b, m + 1, n, 2 * n + 1):
+        raise ValueError(f"sweeps of {b} grids must be {(b, m + 1, n, 2 * n + 1)}, "
+                         f"not {s.shape}")
+    return s
+
+
+def _corrections(problem, y: np.ndarray, left: tuple[int, ...]):
+    """Newton corrections of each grid in y (B, N, M).
+
+    Returns (dy, exact, singular): exact marks grids whose meaningful
+    residuals are all exactly zero, singular holds the 1-based block
+    where a grid's elimination failed, else 0; both get zero dy.  An
+    exactly solved grid already solves the discrete system, so its
+    correction is zero by definition and its Jacobian may legitimately
+    be singular (on the all-zero trivial solution the energy column
+    vanishes entirely).
+
+    The grids are assembled a group at a time, whole sweeps of about
+    GROUP_BLOCKS blocks in all, and each grid is then eliminated alone
+    by solve_block_system.
+    """
+    b, n, m = y.shape
+    t = n - len(left)               # the right block's rows; the left block's start at t
+    group = max(1, GROUP_BLOCKS // (m + 1))
+    dy, exact, singular = [], np.zeros(b, dtype=bool), np.zeros(b, dtype=int)
+    for lo in range(0, b, group):
+        s = _sweeps(problem, y[lo:lo + group])
+        e = s[..., -1]
+        exact[lo:lo + len(s)] = ~(e[:, 0, t:].any(axis=1) | e[:, 1:-1].any(axis=(1, 2))
+                                  | e[:, -1, :t].any(axis=1))
+        for i in range(lo, lo + len(s)):
             try:
                 dy.append(np.zeros((n, m)) if exact[i] else
-                          solve_block_system(blocks, left))
+                          solve_block_system(s[i - lo], left))
             except SingularBlockError as exc:
                 singular[i] = exc.k
                 dy.append(np.zeros((n, m)))
-            del blocks
-        return np.stack(dy), exact, singular
-
-    blocks_of = getattr(problem, "assemble_slab", None)
-    if blocks_of is None:
-        whole = np.stack([_sweep_blocks(problem, mesh, SolutionGrid(g, n)) for g in y])
-        blocks_of = lambda lo, hi: whole[:, lo:hi]
-    else:
-        blocks_of = functools.partial(blocks_of, y)
-    with np.errstate(all="ignore"):
-        dy, moved, singular = eliminate(blocks_of, b, m, _layout(n, left), SLAB)
-    return dy, ~moved, singular
+        del s, e                    # release the group before the corrections stack
+    return np.stack(dy), exact, singular
 
 
 def relax(problem: Callable[[int, SolutionGrid], DifferenceBlock],
@@ -329,13 +313,13 @@ def relax(problem: Callable[[int, SolutionGrid], DifferenceBlock],
           config: RelaxConfig) -> RelaxOutcome:
     """Iterate damped Newton steps until the correction norm drops below conv.
 
-    problem.assemble(grid), when present, must return the (M+1, N, 2N+1)
-    blocks of a sweep and is called once per sweep.  Otherwise
-    problem(k, grid) must return the difference block for k = 1..M+1;
-    the engine requests blocks in that order exactly once per sweep.
-    N is the initial grid's row count; problem.left, when present, names
-    the unknowns the left boundary rows determine (default (0,)), and
-    config.scalv needs one entry per unknown.  Each sweep solves for the
+    problem.assemble_batch(y), when present, must return the whole
+    sweeps (B, M+1, N, 2N+1) at each grid of the stacked (B, N, M) array
+    y.  Otherwise problem(k, grid) must return the difference block for
+    k = 1..M+1; the engine requests blocks in that order exactly once
+    per sweep.  N is the initial grid's row count; problem.left, when
+    present, names the unknowns the left boundary rows determine
+    (default (0,)), and config.scalv needs one entry per unknown.  Each sweep solves for the
     raw corrections, measures err = mean(|delta|/scalv), damps by
     fac = slowc/max(slowc, err), and applies y += fac*delta before
     testing err < conv.  A grid whose residuals are all exactly zero
@@ -351,7 +335,7 @@ def relax(problem: Callable[[int, SolutionGrid], DifferenceBlock],
 
 
 def relax_batch(problem, mesh: Mesh, initial, config) -> list:
-    """relax every grid of initial, each with its own config, in lockstep.
+    """relax every grid of initial, each with its own config, together.
 
     initial and config are equal-length sequences.  All grids share one
     Newton loop: each sweep corrects every grid still iterating at once,
@@ -360,12 +344,10 @@ def relax_batch(problem, mesh: Mesh, initial, config) -> list:
     order, each grid's RelaxOutcome, or the SingularBlockError its
     elimination hit, so one singular grid does not stop the others.
 
-    The problem contract is relax's: a per-block problem(k, grid), or
-    problem.assemble(grid), is asked for each grid's sweep in turn.
-    For BATCH_MIN grids or more, problem.assemble_slab(y, lo, hi) is
-    used when present: blocks lo+1..hi of the sweep at every grid of
-    the stacked (B, N, M) array y, as (B, hi-lo, N, 2N+1).  The engine
-    then never holds a batch's whole sweep.
+    The problem contract is relax's.  Each sweep asks for a group of
+    grids' whole sweeps at once, about GROUP_BLOCKS blocks in all (one
+    grid when M + 1 is larger), and eliminates each grid alone through
+    the stage kernels.
     """
     grids, configs = list(initial), list(config)
     if len(grids) != len(configs):
@@ -394,7 +376,7 @@ def relax_batch(problem, mesh: Mesh, initial, config) -> list:
     it = 0
     while live.size:
         it += 1
-        dy, exact, singular = _corrections(problem, mesh, y, left)
+        dy, exact, singular = _corrections(problem, y, left)
         with np.errstate(over="ignore", invalid="ignore"):
             # err as a per-unknown loop sums it, then y + fac*dy in place;
             # rows that do not step get values that are never used

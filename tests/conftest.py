@@ -12,7 +12,7 @@ does the same for the block solver: the same pivots and arithmetic
 written as plain loops over index lists.
 
 reference_relax and reference_scan are the routes for checking the
-lockstep engine: the one-grid Newton loop and the guess-by-guess scan,
+batched engine: the one-grid Newton loop and the guess-by-guess scan,
 on solve_block_system, that relax_batch and scan must reproduce
 exactly.
 

@@ -1,6 +1,5 @@
-"""Lockstep relaxation: relax_batch, the batched elimination and the
-scanner built on them, each against the one-grid engine it must
-reproduce bit for bit."""
+"""Batched relaxation: relax_batch, batch assembly and the scanner built
+on them, each against the one-grid route it must reproduce bit for bit."""
 
 import math
 import tracemalloc
@@ -12,31 +11,16 @@ import pytest
 from relaxbound import (Mesh, ProblemSpec, RelaxConfig, SingularBlockError,
                         SolutionGrid, block_builder, default_config,
                         initial_guess, normalized_builder, relax, relax_batch,
-                        scan, solve_block_system)
-from relaxbound.lockstep import eliminate
+                        scan)
 from conftest import reference_relax, reference_scan, smooth_grid
 
 # the package re-exports a function named relax over its relax module
 relax_mod = import_module("relaxbound.relax")
 
 
-def solve_block_batch(blocks, left=(0,)):
-    """Corrections and first singular block (0 for none) of each system
-    in the (B, M+1, N, 2N+1) stack, by one lockstep elimination fed four
-    blocks at a time, so slab edges fall inside the mesh."""
-    with np.errstate(all="ignore"):
-        dy, _, singular = eliminate(lambda lo, hi: blocks[:, lo:hi], len(blocks),
-                                    blocks.shape[1] - 1,
-                                    relax_mod._layout(blocks.shape[2], tuple(left)), 4)
-    return dy, singular
-
-
-def _same_bits(a, b):
-    """Equal arrays with equal signs of zero; NaNs count as equal."""
-    a, b = np.asarray(a), np.asarray(b)
-    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
-            and np.array_equal(np.signbit(a) | np.isnan(a),
-                               np.signbit(b) | np.isnan(b)))
+def _groups(b, mesh):
+    """Assembly groups a sweep of b grids on mesh takes."""
+    return math.ceil(b / max(1, relax_mod.GROUP_BLOCKS // (mesh.m + 1)))
 
 
 def _assert_same_outcome(got, want):
@@ -57,7 +41,7 @@ def _assert_same_outcome(got, want):
 ], ids=["coulomb-1s", "coulomb-zero-guess", "linear-l2"])
 def test_scan_matches_the_guess_by_guess_reference(spec, e_min, e_max, steps,
                                                    formulation, mesh101):
-    assert steps >= relax_mod.BATCH_MIN         # the batched kernel runs
+    assert _groups(steps, mesh101) >= 3         # the batch spans several groups
     got = scan(spec, mesh101, None, e_min, e_max, steps, formulation=formulation)
     want = reference_scan(spec, mesh101, None, e_min, e_max, steps, formulation)
     assert repr(got) == repr(want)              # repr keeps every bit, NaN included
@@ -81,28 +65,23 @@ class Spoiled:
     def __init__(self, build):
         self.build, self.left = build, build.left
 
-    def assemble_slab(self, y, lo, hi):
-        s = self.build.assemble_slab(y, lo, hi)
+    def assemble_batch(self, y):
+        s = self.build.assemble_batch(y)
         for b, energy in enumerate(y[:, 2, 0]):
-            if energy == SINGULAR and lo <= 16 < hi:
-                s[b, 16 - lo] = 0.0
-            elif energy == POISONED and lo == 0:
+            if energy == SINGULAR:
+                s[b, 16] = 0.0
+            elif energy == POISONED:
                 s[b, 0, 2, 6] = math.nan
-            elif energy == OVERFLOW:
+            elif energy == OVERFLOW:         # delta = -residual, see test_relax
                 s[b] = 0.0
-                for k in range(lo, hi):     # delta = -residual, see test_relax
-                    if k == 0:
-                        s[b, 0, 2, 3] = 1.0
-                    elif k < y.shape[2]:
-                        s[b, k - lo, [0, 1, 2], [1, 2, 3]] = 1.0
-                    else:
-                        s[b, k - lo, [0, 1], [4, 5]] = 1.0
-                if lo <= 1 < hi:
-                    s[b, 1 - lo, 0, 6] = -1e308
+                s[b, 0, 2, 3] = 1.0
+                s[b, 1:-1, [0, 1, 2], [1, 2, 3]] = 1.0
+                s[b, -1, [0, 1], [4, 5]] = 1.0
+                s[b, 1, 0, 6] = -1e308
         return s
 
     def assemble(self, grid):
-        return self.assemble_slab(grid.y[None], 0, grid.m + 1)[0]
+        return self.assemble_batch(grid.y[None])[0]
 
 
 def _mixed_members(mesh):
@@ -129,7 +108,7 @@ def _mixed_members(mesh):
 
 def test_mixed_retirement_batch_matches_relax(mesh101):
     spec, starts, configs = _mixed_members(mesh101)
-    assert len(starts) >= relax_mod.BATCH_MIN
+    assert _groups(len(starts), mesh101) >= 3
     problem = Spoiled(block_builder(mesh101, spec))
     got = relax_batch(problem, mesh101, starts, configs)
     sweeps = set()
@@ -151,10 +130,44 @@ def test_mixed_retirement_batch_matches_relax(mesh101):
     assert len(sweeps) >= 4                     # members leave at different sweeps
 
 
+class BoundaryOnly:
+    """Permutation systems (see test_relax) whose only residuals are y1
+    at x = 0, in the left block, and y1 at x = 1, in the right block."""
+
+    left = (0,)
+
+    def assemble_batch(self, y):
+        s = np.zeros((len(y), y.shape[2] + 1, 3, 7))
+        s[:, 0, 2, 3] = 1.0
+        s[:, 1:-1, [0, 1, 2], [1, 2, 3]] = 1.0
+        s[:, -1, [0, 1], [4, 5]] = 1.0
+        s[:, 0, 2, 6] = y[:, 0, 0]
+        s[:, -1, 0, 6] = y[:, 0, -1]
+        return s
+
+    def assemble(self, grid):
+        return self.assemble_batch(grid.y[None])[0]
+
+
+def test_a_grid_is_exactly_solved_only_with_zero_boundary_residuals(mesh101):
+    starts = []
+    for where in (0, -1, None):                 # left residual, right residual, none
+        y = np.zeros((3, mesh101.m))
+        if where is not None:
+            y[0, where] = 0.5
+        starts.append(SolutionGrid(y))
+    cfg = RelaxConfig(itmax=1)
+    got = relax_batch(BoundaryOnly(), mesh101, starts, [cfg] * 3)
+    for out, start in zip(got, starts):
+        _assert_same_outcome(out, reference_relax(BoundaryOnly(), mesh101, start, cfg))
+    assert [out.final_err > 0.0 for out in got] == [True, True, False]
+
+
 def test_per_k_problem_runs_through_the_batched_path(mesh101):
     spec = ProblemSpec.coulomb(1, 0)
     build = block_builder(mesh101, spec)
-    guesses = np.linspace(-14.0, -13.0, relax_mod.BATCH_MIN + 1)
+    guesses = np.linspace(-14.0, -13.0, 45)
+    assert _groups(len(guesses), mesh101) >= 3
     starts = [initial_guess(spec, mesh101, g) for g in guesses]
     configs = [default_config(spec, g) for g in guesses]
     seen = []
@@ -193,71 +206,19 @@ def test_relax_batch_checks_its_members(mesh101):
         relax_batch(build, Mesh.uniform(51), [start], [cfg])
 
 
-# ---------------------------------------------------- batched elimination --
+# ------------------------------------------------------- batch assembly --
 
 
-def _stacks(builder, n_vars, rng, m=12, b=10):
-    """Physics blocks, physics blocks with a few NaN/inf entries, small
-    integer blocks full of ties and singular stages, and those with one
-    entry in twenty-five NaN or infinite."""
-    mesh = Mesh.uniform(m)
-    build = builder(mesh, ProblemSpec.linear(1, 2))
-    smooth = np.stack([build.assemble(smooth_grid(mesh, rng, 10.0, n_vars))
-                       for _ in range(b)])
-    spoiled = smooth.copy()
-    for i in range(b):
-        for _ in range(i % 4):
-            spoiled[i, rng.integers(m + 1), rng.integers(n_vars),
-                    rng.integers(2 * n_vars + 1)] = (math.nan, math.inf, -math.inf)[i % 3]
-    ties = rng.integers(-2, 3, size=(4 * b, m + 1, n_vars, 2 * n_vars + 1)).astype(float)
-    odd = ties.copy()
-    where = rng.random(odd.shape) < 0.04
-    odd[where] = rng.choice([math.nan, math.inf, -math.inf], size=where.sum())
-    return build.left, [smooth, spoiled, ties, odd]
-
-
+@pytest.mark.parametrize("b", [1, 3, 13])
 @pytest.mark.parametrize("builder, n_vars", [(block_builder, 3), (normalized_builder, 4)],
                          ids=["original", "normalized"])
-def test_batched_elimination_matches_solve_block_system(builder, n_vars, rng):
-    left, stacks = _stacks(builder, n_vars, rng)
-    flags = set()
-    for blocks in stacks:
-        dy, singular = solve_block_batch(blocks, left)
-        for b in range(len(blocks)):
-            try:
-                want = solve_block_system(blocks[b], left)
-            except SingularBlockError as exc:
-                assert singular[b] == exc.k
-                flags.add(exc.k)
-                continue
-            assert singular[b] == 0
-            assert _same_bits(dy[b], want)
-    assert len(flags) >= 3                      # singular at several stages
-
-
-def test_batched_elimination_treats_nans_as_the_scalar_rule_does():
-    # permutation systems (see test_relax) with one interior stage edited:
-    # a NaN first in a row's scale scan makes the scalar stage singular,
-    # a NaN later in the row never wins its pivot search
-    def permutation(m=4):
-        s = np.zeros((m + 1, 3, 7))
-        s[0, 2, 3] = 1.0
-        for k in range(1, m):
-            s[k, [0, 1, 2], [1, 2, 3]] = 1.0
-        s[m, [0, 1], [4, 5]] = 1.0
-        s[:, :, 6] = 0.25
-        return s
-
-    first, later = permutation(), permutation()
-    first[1, 0, 1:4] = math.nan, 2.0, 0.0
-    first[1, 1, 1:4] = 1.0, 0.0, 0.0
-    later[1, 0, 1:4] = 1.0, math.nan, 0.0
-    dy, singular = solve_block_batch(np.stack([first, later]))
-    with pytest.raises(SingularBlockError) as info:
-        solve_block_system(first)
-    assert singular[0] == info.value.k == 2
-    assert singular[1] == 0
-    assert _same_bits(dy[1], solve_block_system(later))
+def test_batch_assembly_matches_one_grid_at_a_time(builder, n_vars, b, mesh101, rng):
+    build = builder(mesh101, ProblemSpec.linear(1, 2))
+    grids = [smooth_grid(mesh101, rng, 10.0, n_vars) for _ in range(b)]
+    sweeps = build.assemble_batch(np.stack([grid.y for grid in grids]))
+    assert sweeps.shape == (b, mesh101.m + 1, n_vars, 2 * n_vars + 1)
+    for sweep, grid in zip(sweeps, grids):
+        assert sweep.tobytes() == build.assemble(grid).tobytes()
 
 
 # --------------------------------------------------------------- memory --
@@ -265,8 +226,8 @@ def test_batched_elimination_treats_nans_as_the_scalar_rule_does():
 
 @pytest.mark.parametrize("formulation", ["original", "normalized"])
 def test_scan_memory_stays_small(formulation, mesh101):
-    # the batch is streamed a few blocks at a time; holding a whole
-    # (B, M+1, N, 2N+1) sweep would add 1-2 MB here
+    # a sweep assembles about GROUP_BLOCKS blocks at a time; holding the
+    # whole batch's (B, M+1, N, 2N+1) sweeps would add 1-2 MB here
     spec = ProblemSpec.linear(1, 2)
     scan(spec, mesh101, None, 10.4, 11.3, 61, formulation=formulation)   # warm caches
     tracemalloc.start()

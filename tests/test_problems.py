@@ -4,10 +4,9 @@ starting profiles, and the solve wrapper."""
 import numpy as np
 import pytest
 
-from relaxbound import (Mesh, MidpointState, Potential, ProblemSpec,
-                        RelaxConfig, SolutionGrid, block_builder,
-                        coulomb_block, default_config, initial_guess,
-                        level_guess, linear_block, relax, solve_bound_state)
+from relaxbound import (Mesh, Potential, ProblemSpec, RelaxConfig,
+                        block_builder, default_config, initial_guess,
+                        level_guess, relax, solve_bound_state)
 from conftest import assert_blocks_match_fd, reference_blocks, smooth_grid
 
 
@@ -21,7 +20,7 @@ def coulomb_1s():
 
 def test_left_boundary_block_pins_the_wavefunction(mesh101, rng, coulomb_1s):
     grid = smooth_grid(mesh101, rng, energy_scale=13.6)
-    s = coulomb_block(1, mesh101, grid, coulomb_1s).s
+    s = block_builder(mesh101, coulomb_1s)(1, grid).s
     expect = np.zeros((3, 7))
     expect[2, 3] = 1.0
     expect[2, 6] = grid.y[0, 0]
@@ -30,7 +29,7 @@ def test_left_boundary_block_pins_the_wavefunction(mesh101, rng, coulomb_1s):
 
 def test_right_sentinel_block_pins_value_and_slope(mesh101, rng, coulomb_1s):
     grid = smooth_grid(mesh101, rng, energy_scale=13.6)
-    s = coulomb_block(mesh101.m + 1, mesh101, grid, coulomb_1s).s
+    s = block_builder(mesh101, coulomb_1s)(mesh101.m + 1, grid).s
     expect = np.zeros((3, 7))
     expect[0, 3] = 1.0
     expect[0, 6] = grid.y[0, -1]
@@ -43,7 +42,7 @@ def test_right_sentinel_block_pins_value_and_slope(mesh101, rng, coulomb_1s):
 def test_block_index_outside_range_is_rejected(mesh101, rng, coulomb_1s, k):
     grid = smooth_grid(mesh101, rng)
     with pytest.raises(IndexError, match=fr"k={k} outside 1\.\.102"):
-        coulomb_block(k, mesh101, grid, coulomb_1s)
+        block_builder(mesh101, coulomb_1s)(k, grid)
 
 
 # ------------------------------------------------------ interior blocks --
@@ -53,7 +52,7 @@ def test_first_and_third_residual_rows_are_exact(mesh101, rng, coulomb_1s):
     grid = smooth_grid(mesh101, rng, energy_scale=13.6)
     h = mesh101.h
     for k in (2, 51, 101):
-        s = coulomb_block(k, mesh101, grid, coulomb_1s).s
+        s = block_builder(mesh101, coulomb_1s)(k, grid).s
         p, i = k - 2, k - 1
         y2b = 0.5 * (grid.y[1, p] + grid.y[1, i])
         assert np.array_equal(s[0, :6], [-1.0, -0.5 * h, 0.0, 1.0, -0.5 * h, 0.0])
@@ -114,12 +113,13 @@ def test_centrifugal_term_shifts_only_the_wave_derivatives(mesh101, rng):
         for k in (2, 40, 101):
             s0 = build0(k, grid).s
             s1 = build1(k, grid).s
-            mid = MidpointState.at(k, mesh101, grid)
-            ratio = (1.0 - mid.xbar) / mid.xbar
-            shift = -0.5 * h * ll1 * ratio * ratio / (1.0 - mid.xbar) ** 4
+            xbar = 0.5 * (mesh101.x[k - 2] + mesh101.x[k - 1])
+            y1b = 0.5 * (grid.y[0, k - 2] + grid.y[0, k - 1])
+            ratio = (1.0 - xbar) / xbar
+            shift = -0.5 * h * ll1 * ratio * ratio / (1.0 - xbar) ** 4
             # near x = 1 the shift is extracted from entries many orders
             # larger, so allow the eps-level noise of those operands
-            for col, want in ((0, shift), (3, shift), (6, 2.0 * shift * mid.y1)):
+            for col, want in ((0, shift), (3, shift), (6, 2.0 * shift * y1b)):
                 slack = 1e-12 * max(1.0, abs(s0[1, col]), abs(s1[1, col]))
                 assert abs((s1[1, col] - s0[1, col]) - want) <= (
                     1e-12 * abs(want) + slack)
@@ -144,24 +144,6 @@ def test_sweep_assembly_matches_the_scalar_reference_exactly(kind, l, m, rng):
     assert np.array_equal(sweep, ref)
     for k in (1, 2, m, m + 1):
         assert np.array_equal(build(k, grid).s, ref[k - 1])
-
-
-# --------------------------------------------------------- midpoint state --
-
-
-def test_midpoint_state_averages_the_interval(mesh101, rng):
-    grid = smooth_grid(mesh101, rng)
-    mid = MidpointState.at(10, mesh101, grid)
-    assert mid.xbar == 0.5 * (mesh101.x[8] + mesh101.x[9])
-    assert mid.y1 == 0.5 * (grid.y[0, 8] + grid.y[0, 9])
-    assert mid.y2 == 0.5 * (grid.y[1, 8] + grid.y[1, 9])
-    assert mid.y3 == 0.5 * (grid.y[2, 8] + grid.y[2, 9])
-
-
-@pytest.mark.parametrize("xbar", [0.0, 1.0, -0.2, 1.5])
-def test_midpoint_state_requires_an_interior_point(xbar):
-    with pytest.raises(ValueError):
-        MidpointState(xbar=xbar, y1=0.0, y2=0.0, y3=1.0)
 
 
 # ------------------------------------------------------- guesses, config --
@@ -261,9 +243,5 @@ def test_builders_dispatch_on_potential(mesh101, rng):
     grid = smooth_grid(mesh101, rng, energy_scale=5.0)
     cspec = ProblemSpec.coulomb(1, 0)
     lspec = ProblemSpec.linear(1, 0)
-    assert np.array_equal(block_builder(mesh101, cspec)(50, grid).s,
-                          coulomb_block(50, mesh101, grid, cspec).s)
-    assert np.array_equal(block_builder(mesh101, lspec)(50, grid).s,
-                          linear_block(50, mesh101, grid, lspec).s)
-    assert not np.array_equal(coulomb_block(50, mesh101, grid, cspec).s,
-                              linear_block(50, mesh101, grid, lspec).s)
+    assert not np.array_equal(block_builder(mesh101, cspec)(50, grid).s,
+                              block_builder(mesh101, lspec)(50, grid).s)

@@ -14,7 +14,6 @@ from relaxbound import (DifferenceBlock, Mesh, ProblemSpec, RelaxConfig,
                         block_builder, default_config, initial_guess,
                         level_guess, normalized_builder, relax,
                         solve_block_system, solve_bound_state)
-from relaxbound.lockstep import eliminate
 from conftest import dense_solve, reference_elimination, smooth_grid
 
 # the package re-exports a function named relax over its relax module
@@ -432,7 +431,3 @@ def test_singular_normalized_stage_names_its_block(where, route, rng):
     with pytest.raises(SingularBlockError) as info:
         solve_block_system(s, left)
     assert info.value.k == where + 1
-    with np.errstate(all="ignore"):
-        _, _, first_bad = eliminate(lambda lo, hi: s[None, lo:hi], 1, m,
-                                    relax_mod._layout(n, left), 2)
-    assert first_bad[0] == info.value.k
