@@ -7,8 +7,7 @@ import json
 import math
 import sys
 
-from .grid import (LINEAR_LAMBDA, LINEAR_MU, HYDROGEN_E2, HYDROGEN_MU,
-                   Mesh, Potential, ProblemSpec)
+from .grid import Mesh, Potential, ProblemSpec
 from .oracles import hydrogen_energy, linear_energy
 from .problems import solve_bound_state
 from .relax import SingularBlockError
@@ -23,34 +22,36 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bound states of the radial Schrodinger equation by relaxation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--potential", choices=["coulomb", "linear"],
-                        default="coulomb")
-    common.add_argument("--n", type=int, default=1)
-    common.add_argument("--l", type=int, default=0)
-    common.add_argument("--lambda", dest="lam", type=float, default=None,
-                        help="coupling: e^2 for coulomb, slope for linear")
-    common.add_argument("--mu", type=float, default=None,
-                        help="reduced mass (eV for coulomb, GeV for linear)")
-    common.add_argument("--mesh-points", type=int, default=101)
-    common.add_argument("--out", default=None, help="write results to this path")
-    common.add_argument("--format", choices=["dat", "json"], default="dat")
+    # tables builds its own problems: the physics and format are not its options
+    physics = argparse.ArgumentParser(add_help=False)
+    physics.add_argument("--potential", choices=["coulomb", "linear"],
+                         default="coulomb")
+    physics.add_argument("--n", type=int, default=1)
+    physics.add_argument("--l", type=int, default=0)
+    physics.add_argument("--lambda", dest="lam", type=float, default=None,
+                         help="coupling: e^2 for coulomb, slope for linear")
+    physics.add_argument("--mu", type=float, default=None,
+                         help="reduced mass (eV for coulomb, GeV for linear)")
+    physics.add_argument("--format", choices=["dat", "json"], default="dat")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--mesh-points", type=int, default=101)
+    output.add_argument("--out", default=None, help="write results to this path")
 
-    p_solve = sub.add_parser("solve", parents=[common],
+    p_solve = sub.add_parser("solve", parents=[physics, output],
                              help="relax a single starting guess")
     p_solve.add_argument("--guess", type=float, required=True,
                          help="starting eigenvalue (ground-state scale for coulomb)")
 
-    p_scan = sub.add_parser("scan", parents=[common],
+    p_scan = sub.add_parser("scan", parents=[physics, output],
                             help="scan guesses and pick the smoothest state")
     p_scan.add_argument("--emin", type=float, required=True)
     p_scan.add_argument("--emax", type=float, required=True)
     p_scan.add_argument("--steps", type=int, required=True)
 
-    sub.add_parser("oracle", parents=[common],
+    sub.add_parser("oracle", parents=[physics, output],
                    help="closed-form energy (and curve, with --out)")
 
-    p_tables = sub.add_parser("tables", parents=[common],
+    p_tables = sub.add_parser("tables", parents=[output],
                               help="reproduce the reference eigenvalue tables")
     p_tables.add_argument("--steps", type=int, default=41,
                           help="guesses per smoothness scan")
@@ -58,15 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _make_spec(args) -> ProblemSpec:
-    if args.potential == "coulomb":
-        return ProblemSpec.coulomb(
-            args.n, args.l,
-            mu=args.mu if args.mu is not None else HYDROGEN_MU,
-            coupling=args.lam if args.lam is not None else HYDROGEN_E2)
-    return ProblemSpec.linear(
-        args.n, args.l,
-        mu=args.mu if args.mu is not None else LINEAR_MU,
-        coupling=args.lam if args.lam is not None else LINEAR_LAMBDA)
+    make = ProblemSpec.coulomb if args.potential == "coulomb" else ProblemSpec.linear
+    given = {"mu": args.mu, "coupling": args.lam}    # omitted: the spec's default
+    return make(args.n, args.l, **{k: v for k, v in given.items() if v is not None})
 
 
 def _json_safe(value):

@@ -8,7 +8,7 @@ x to z = r/a0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -47,30 +47,24 @@ def map_z_to_x(z):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Uniform grid of m points covering [0, 1] with spacing h = 1/(m-1)."""
+    """Uniform grid of m points on [0, 1]; h = 1/(m-1) and x derive from m."""
 
     m: int
-    h: float
-    x: np.ndarray
+    h: float = field(init=False, compare=False)
+    x: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         if not _is_count(self.m) or self.m < 3:
             raise ValueError("mesh needs an integer count of at least 3 points")
-        if self.x.shape != (self.m,):
-            raise ValueError("coordinate array does not match point count")
-        if self.x[0] != 0.0 or self.x[-1] != 1.0:
-            raise ValueError("mesh must span [0, 1] exactly")
-        if np.any(np.diff(self.x) <= 0.0):
-            raise ValueError("mesh coordinates must increase strictly")
+        # Per-point division: x[k] == k/(m-1) exactly, and x[-1] == 1.0.
+        x = np.arange(self.m, dtype=float) / (self.m - 1)
+        x.setflags(write=False)
+        object.__setattr__(self, "h", 1.0 / (self.m - 1))
+        object.__setattr__(self, "x", x)
 
     @classmethod
     def uniform(cls, m: int) -> "Mesh":
-        if not _is_count(m) or m < 3:
-            raise ValueError("mesh needs an integer count of at least 3 points")
-        # Per-point division: x[k] == k/(m-1) exactly, and x[-1] == 1.0.
-        x = np.arange(m, dtype=float) / (m - 1)
-        x.setflags(write=False)
-        return cls(m=m, h=1.0 / (m - 1), x=x)
+        return cls(m)
 
 
 @dataclass(frozen=True)
@@ -168,6 +162,9 @@ class ProblemSpec:
             raise ValueError("n and l must be integers")
         if self.n < 1 or self.l < 0:
             raise ValueError("need n >= 1 and l >= 0")
+        product = float(self.mu) * float(self.coupling)   # may underflow: a0 = 1/0 or inf
+        if self.kind is Potential.COULOMB and not (product > 0.0 and 1.0 / product < np.inf):
+            raise ValueError("Bohr radius 1/(mu*coupling) must be positive and finite")
 
     @property
     def a0(self) -> float:

@@ -90,17 +90,17 @@ def scan(spec: ProblemSpec, mesh: Mesh, config: RelaxConfig | None,
 
     Guesses follow the initial_guess convention (ground-state scale for
     Coulomb, level energy for linear); relaxed_e always reports the
-    level eigenvalue from the relaxed grid.  The eigenvalue error scale
-    tracks each guess, with config.scalv[2] as fallback at zero.
-    Divergent guesses and singular eliminations become non-converged
-    entries, never exceptions.  selected_guess is the guess itself; the
-    relaxed value at that guess sits in selected_relaxed.  formulation
-    picks the difference system as in solve_bound_state.  In the
-    normalised one every guess of a window around a level relaxes to
-    that level, so selected_guess is then one of many equivalent starts
-    and selected_relaxed is the selected state.  All guesses relax
-    together in one relax_batch call; each entry is exactly what
-    relaxing its guess alone would give.
+    level eigenvalue from the relaxed grid.  config None means each
+    guess's default_config; a given config gets each guess's |level| as
+    scalv[2] (kept at a zero level).  Divergent guesses and singular
+    eliminations become non-converged entries, never exceptions.
+    selected_guess is the guess itself; the relaxed value at that guess
+    sits in selected_relaxed.  formulation picks the difference system
+    as in solve_bound_state.  In the normalised one every guess of a
+    window around a level relaxes to that level, so selected_guess is
+    then one of many equivalent starts and selected_relaxed is the
+    selected state.  All guesses relax together in one relax_batch
+    call; each entry is exactly what relaxing its guess alone would give.
     """
     if not e_min < e_max:
         raise ValueError("need e_min < e_max")
@@ -109,14 +109,11 @@ def scan(spec: ProblemSpec, mesh: Mesh, config: RelaxConfig | None,
     build = (normalized_builder(mesh, spec) if is_normalized(formulation)
              else block_builder(mesh, spec))
     guesses = [float(g) for g in np.linspace(e_min, e_max, steps)]
-    configs = []
-    for guess in guesses:
-        cfg = (config if config is not None
-               else default_config(spec, guess, formulation))
-        scale = abs(level_guess(spec, guess))
-        configs.append(replace(cfg, scalv=cfg.scalv[:2]
-                               + (scale if scale > 0.0 else cfg.scalv[2],)
-                               + cfg.scalv[3:]))
+    configs = [default_config(spec, guess, formulation) if config is None
+               else replace(config, scalv=config.scalv[:2]
+                            + (abs(level_guess(spec, guess)) or config.scalv[2],)
+                            + config.scalv[3:])
+               for guess in guesses]
     starts = (initial_guess(spec, mesh, guess, formulation) for guess in guesses)
     entries = []
     for guess, outcome in zip(guesses, relax_batch(build, mesh, starts, configs)):
@@ -238,26 +235,21 @@ def reproduce_tables(scan_steps: int = 41, mesh_points: int = 101) -> str:
     mesh = Mesh.uniform(mesh_points)
     lines = [f"eigenvalue tables (mesh points M={mesh_points})", ""]
 
-    lines.append("direct solves, Coulomb potential (eV)")
-    lines.append("  n  l  initial        relaxed        exact          reference")
-    for n, l, start, ref in REFERENCE_COULOMB:
-        spec = ProblemSpec.coulomb(n, l)
-        outcome = solve_bound_state(spec, mesh, start * (n + l) ** 2)
-        exact = hydrogen_energy(n, l, spec)
-        relaxed = f"{outcome.grid.energy:<13.6f}" if outcome.converged else "FAILED       "
-        lines.append(f"  {n}  {l}  {start:<13.6f} {relaxed} {exact:<13.6f}  {ref:.6f}")
+    direct = (("Coulomb potential (eV)", ProblemSpec.coulomb, REFERENCE_COULOMB),
+              ("linear potential (GeV)", ProblemSpec.linear, REFERENCE_LINEAR))
+    for title, make, rows in direct:
+        lines.append(f"direct solves, {title}")
+        lines.append("  n  l  initial        relaxed        exact          reference")
+        for n, l, start, ref in rows:
+            spec = make(n, l)
+            # Coulomb guesses are quoted at the ground-state scale
+            guess = start * (n + l) ** 2 if spec.kind is Potential.COULOMB else start
+            outcome = solve_bound_state(spec, mesh, guess)
+            relaxed = f"{outcome.grid.energy:<13.6f}" if outcome.converged else "FAILED       "
+            lines.append(f"  {n}  {l}  {start:<13.6f} {relaxed} "
+                         f"{_closed_form(spec):<13.6f}  {ref:.6f}")
+        lines.append("")
 
-    lines.append("")
-    lines.append("direct solves, linear potential (GeV)")
-    lines.append("  n  l  initial        relaxed        exact          reference")
-    for n, l, start, ref in REFERENCE_LINEAR:
-        spec = ProblemSpec.linear(n, l)
-        outcome = solve_bound_state(spec, mesh, start)
-        exact = _closed_form(spec)
-        relaxed = f"{outcome.grid.energy:<13.6f}" if outcome.converged else "FAILED       "
-        lines.append(f"  {n}  {l}  {start:<13.6f} {relaxed} {exact:<13.6f}  {ref:.6f}")
-
-    lines.append("")
     lines.append(f"smoothness scans, linear potential, n=1 "
                  f"(+/-4% windows, {scan_steps} guesses)")
     lines.append("  l  selected guess relaxed        exact          reference")

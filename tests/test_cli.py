@@ -91,6 +91,14 @@ def test_solve_reports_a_singular_elimination_as_a_failed_solve(capsys):
     assert "solve failed: singular block at k=11" in err
 
 
+def test_solve_rejects_an_underflowing_bohr_radius_as_exit_two(capsys):
+    rc = cli.main(["solve", "--potential", "coulomb", "--mu", "1e-300",
+                   "--lambda", "1e-300", "--guess", "-13", "--mesh-points", "11"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # ------------------------------------------------------------------- scan --
 
 
@@ -217,6 +225,17 @@ def test_tables_prints_and_writes_the_report(tmp_path, capsys):
     assert rc == 0
     assert "direct solves, Coulomb potential" in out
     assert path.read_text().strip() == out.strip()
+
+
+@pytest.mark.parametrize("option", [["--potential", "linear"], ["--n", "3"],
+                                    ["--l", "1"], ["--lambda", "99"],
+                                    ["--mu", "2"], ["--format", "json"]],
+                         ids=lambda option: option[0])
+def test_tables_refuses_the_options_it_would_ignore(option, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["tables", "--steps", "5", "--mesh-points", "21", *option])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------ bad usage --

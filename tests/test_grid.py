@@ -65,16 +65,12 @@ def test_mesh_rejects_too_few_points():
         Mesh.uniform(2)
 
 
-def test_mesh_validates_direct_construction():
-    x = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(ValueError):
-        Mesh(m=4, h=0.25, x=x)          # wrong point count
-    with pytest.raises(ValueError):
-        Mesh(m=5, h=0.25, x=x * 0.5)    # does not reach 1
-    bad = x.copy()
-    bad[2] = bad[1]
-    with pytest.raises(ValueError):
-        Mesh(m=5, h=0.25, x=bad)        # not strictly increasing
+def test_mesh_takes_only_a_point_count():
+    with pytest.raises(TypeError):
+        Mesh(m=11, h=0.05, x=np.linspace(0.0, 1.0, 11))
+    mesh, uniform = Mesh(11), Mesh.uniform(11)
+    assert (mesh.m, mesh.h) == (uniform.m, uniform.h)
+    assert mesh.x.tobytes() == uniform.x.tobytes()
 
 
 def test_mesh_coordinates_are_read_only():
@@ -181,6 +177,14 @@ def test_spec_rejects_nonfinite_physics(make, value, field):
         make(1, 0, **{field: value})
 
 
+@pytest.mark.parametrize("mu, e2", [(1e-300, 1e-300), (1e-300, 1e-20)],
+                         ids=["product-zero", "product-subnormal"])
+def test_coulomb_spec_rejects_an_underflowing_bohr_radius(mu, e2):
+    # mu*e^2 underflows to 0 (a0 = 1/0) or to a subnormal (a0 = inf)
+    with pytest.raises(ValueError, match="Bohr radius"):
+        ProblemSpec.coulomb(1, 0, mu=mu, coupling=e2)
+
+
 @pytest.mark.parametrize("n, l", [(0, 0), (-1, 0), (1, -1)])
 def test_spec_rejects_bad_quantum_numbers(n, l):
     with pytest.raises(ValueError):
@@ -212,4 +216,4 @@ def test_mesh_rejects_non_integer_point_counts(m):
     with pytest.raises(ValueError, match="integer"):
         Mesh.uniform(m)
     with pytest.raises(ValueError, match="integer"):
-        Mesh(m=m, h=0.1, x=np.linspace(0.0, 1.0, 11))
+        Mesh(m)

@@ -33,17 +33,27 @@ def _assert_same_outcome(got, want):
 # ------------------------------------------------------------------ scan --
 
 
-@pytest.mark.parametrize("formulation", ["original", "normalized"])
-@pytest.mark.parametrize("spec, e_min, e_max, steps", [
-    (ProblemSpec.coulomb(1, 0), -14.1, -13.1, 45),
-    (ProblemSpec.coulomb(1, 0), -1.0, 1.0, 45),
-    (ProblemSpec.linear(1, 2), 10.4, 11.3, 45),
-], ids=["coulomb-1s", "coulomb-zero-guess", "linear-l2"])
+WINDOWS = {"coulomb-1s": (ProblemSpec.coulomb(1, 0), -14.1, -13.1, 45),
+           "coulomb-zero-guess": (ProblemSpec.coulomb(1, 0), -1.0, 1.0, 45),
+           "linear-l2": (ProblemSpec.linear(1, 2), 10.4, 11.3, 45)}
+# a caller's config per formulation; scan swaps in each guess's scalv[2]
+CUSTOM = {"original": RelaxConfig(itmax=30, conv=1e-7, slowc=0.5,
+                                  scalv=(2.0, 0.5, 3.0)),
+          "normalized": RelaxConfig(itmax=30, conv=1e-7, slowc=0.5,
+                                    scalv=(2.0, 0.5, 3.0, 0.25))}
+
+
+@pytest.mark.parametrize("spec, e_min, e_max, steps, formulation, config", [
+    pytest.param(*window, formulation, config,
+                 id=f"{name}-{formulation}" + ("" if config is None else "-custom"))
+    for formulation in ("original", "normalized")
+    for name, window in WINDOWS.items()
+    for config in (None, CUSTOM[formulation])])
 def test_scan_matches_the_guess_by_guess_reference(spec, e_min, e_max, steps,
-                                                   formulation, mesh101):
+                                                   formulation, config, mesh101):
     assert _groups(steps, mesh101) >= 3         # the batch spans several groups
-    got = scan(spec, mesh101, None, e_min, e_max, steps, formulation=formulation)
-    want = reference_scan(spec, mesh101, None, e_min, e_max, steps, formulation)
+    got = scan(spec, mesh101, config, e_min, e_max, steps, formulation=formulation)
+    want = reference_scan(spec, mesh101, config, e_min, e_max, steps, formulation)
     assert repr(got) == repr(want)              # repr keeps every bit, NaN included
 
 
