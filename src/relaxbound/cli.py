@@ -55,6 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="reproduce the reference eigenvalue tables")
     p_tables.add_argument("--steps", type=int, default=41,
                           help="guesses per smoothness scan")
+    for command in sub.choices.values():    # reports its own usage errors
+        command.set_defaults(command_parser=command)
     return parser
 
 
@@ -169,8 +171,9 @@ _COMMANDS = {"solve": _cmd_solve, "scan": _cmd_scan,
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, NotImplementedError) as exc:

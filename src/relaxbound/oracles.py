@@ -10,12 +10,11 @@ Ai(x); the evaluator below is self-contained (power series inside
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
-from .grid import HYDROGEN_E2, HYDROGEN_MU, LINEAR_LAMBDA, LINEAR_MU, ProblemSpec
+from .grid import LINEAR_LAMBDA, LINEAR_MU, ProblemSpec, _is_count
 
 _AI_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)        # Ai(0)
 _AIP_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)    # Ai'(0)
@@ -26,12 +25,12 @@ MAX_AIRY_ZEROS = 10
 
 def hydrogen_energy(n: int, l: int, spec: ProblemSpec | None = None) -> float:
     """Coulomb level -e^2/(2*a0*(n+l)^2); n counts nodes + 1, not the
-    principal quantum number, so (n, l) pairs with equal n+l are degenerate."""
-    if n < 1 or l < 0:
-        raise ValueError("need n >= 1 and l >= 0")
-    e2 = spec.coupling if spec is not None else HYDROGEN_E2
-    a0 = spec.a0 if spec is not None else 1.0 / (HYDROGEN_MU * HYDROGEN_E2)
-    return -e2 / (2.0 * a0 * (n + l) ** 2)
+    principal quantum number, so (n, l) pairs with equal n+l are degenerate.
+    Without a spec, e^2 and a0 are ProblemSpec.coulomb(n, l)'s."""
+    if not (_is_count(n) and _is_count(l)) or n < 1 or l < 0:
+        raise ValueError("need integers n >= 1 and l >= 0")
+    spec = spec or ProblemSpec.coulomb(n, l)
+    return -spec.coupling / (2.0 * spec.a0 * (n + l) ** 2)
 
 
 def hydrogen_radial(n: int, l: int, z) -> float:
@@ -39,6 +38,8 @@ def hydrogen_radial(n: int, l: int, z) -> float:
 
     Only the three lowest states are tabulated; anything else raises.
     """
+    if not (_is_count(n) and _is_count(l)):
+        raise ValueError("n and l must be integers")
     zv = np.asarray(z, dtype=float)
     if np.any(zv < 0.0):
         raise ValueError("z must be nonnegative")
@@ -116,25 +117,6 @@ def airy_ai(x: float) -> float:
     return _ai_asymptotic(x)
 
 
-@dataclass(frozen=True)
-class AiryZeroTable:
-    """Negative zeros of Ai ordered by increasing |x|."""
-
-    zeros: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.zeros, dtype=float)
-        if z.ndim != 1 or z.size < 1:
-            raise ValueError("need a nonempty 1-d zero table")
-        if np.any(z >= 0.0) or np.any(np.diff(z) >= 0.0):
-            raise ValueError("zeros must be negative and strictly decreasing")
-        z.setflags(write=False)
-        object.__setattr__(self, "zeros", z)
-
-    def __len__(self) -> int:
-        return self.zeros.size
-
-
 def _bisect_zero(lo: float, hi: float) -> float:
     """Bisect airy_ai on [lo, hi]; signs at the ends must differ."""
     flo = airy_ai(lo)
@@ -152,17 +134,15 @@ def _bisect_zero(lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@lru_cache(maxsize=None)
-def airy_zero_table(count: int = MAX_AIRY_ZEROS) -> AiryZeroTable:
-    """First `count` negative zeros of Ai, found by sign scan + bisection."""
-    if not 1 <= count <= MAX_AIRY_ZEROS:
-        raise ValueError(f"count must be in 1..{MAX_AIRY_ZEROS}")
+@cache
+def _airy_zeros() -> np.ndarray:
+    """The MAX_AIRY_ZEROS zeros of Ai nearest 0 by sign scan + bisection, read-only."""
     zeros = []
     step = 0.05
     x_hi = -1.0                       # Ai > 0 on (-2.34, 0]
     f_hi = airy_ai(x_hi)
     x = x_hi
-    while len(zeros) < count:
+    while len(zeros) < MAX_AIRY_ZEROS:
         x -= step
         if x < -13.5:                 # ten zeros all sit above -13
             raise RuntimeError("zero scan ran past the expected range")
@@ -170,14 +150,25 @@ def airy_zero_table(count: int = MAX_AIRY_ZEROS) -> AiryZeroTable:
         if (f < 0.0) != (f_hi < 0.0):
             zeros.append(_bisect_zero(x, x + step))
         x_hi, f_hi = x, f
-    return AiryZeroTable(np.array(zeros))
+    z = np.array(zeros)
+    if np.any(z >= 0.0) or np.any(np.diff(z) >= 0.0):
+        raise RuntimeError("zeros must be negative and strictly decreasing")
+    z.setflags(write=False)
+    return z
+
+
+def airy_zero_table(count: int = MAX_AIRY_ZEROS) -> np.ndarray:
+    """First `count` negative zeros of Ai by increasing |x|, read-only."""
+    if not _is_count(count) or not 1 <= count <= MAX_AIRY_ZEROS:
+        raise ValueError(f"count must be an integer in 1..{MAX_AIRY_ZEROS}")
+    return _airy_zeros()[:count]
 
 
 def airy_zero(order: int) -> float:
     """order-th negative zero of Ai (order = 1 is the smallest |x|)."""
-    if not 1 <= order <= MAX_AIRY_ZEROS:
-        raise ValueError(f"order must be in 1..{MAX_AIRY_ZEROS}")
-    return float(airy_zero_table(MAX_AIRY_ZEROS).zeros[order - 1])
+    if not _is_count(order) or not 1 <= order <= MAX_AIRY_ZEROS:
+        raise ValueError(f"order must be an integer in 1..{MAX_AIRY_ZEROS}")
+    return float(airy_zero_table(MAX_AIRY_ZEROS)[order - 1])
 
 
 def linear_energy(n: int, lam: float = LINEAR_LAMBDA, mu: float = LINEAR_MU) -> float:

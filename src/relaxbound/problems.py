@@ -126,8 +126,9 @@ class BlockBuilder:
     """Mesh and physics bound into the problem relax expects.
 
     assemble_batch(y) returns the whole sweeps at a stack of grids and
-    assemble(grid) the sweep at one.  Calling the builder as (k, grid)
-    returns block k of the last grid's sweep, assembling and keeping
+    assemble(grid) the sweep at one; both refuse a grid whose point
+    count is not the mesh's.  Calling the builder as (k, grid) returns
+    block k of the last grid's sweep, assembling and keeping
     the sweep whenever the grid changes.  left names the unknowns the
     left boundary rows determine.
     """
@@ -139,7 +140,9 @@ class BlockBuilder:
 
     def assemble_batch(self, y: np.ndarray) -> np.ndarray:
         """The (B, M+1, N, 2N+1) sweeps at each grid of the stacked
-        (B, N, M) array y."""
+        (B, N, M) array y; M must be the mesh's point count."""
+        if y.shape[-1] != self.mesh.m:
+            raise ValueError(f"grids of {y.shape[-1]} points on a mesh of {self.mesh.m}")
         return _assemble(self.mesh, y, self.spec, self.normalized)
 
     def assemble(self, grid: SolutionGrid) -> np.ndarray:
@@ -246,4 +249,4 @@ def solve_bound_state(spec: ProblemSpec, mesh: Mesh, e_guess: float,
         config = default_config(spec, e_guess, formulation)
     build = (normalized_builder(mesh, spec) if is_normalized(formulation)
              else block_builder(mesh, spec))
-    return relax(build, mesh, start, config)
+    return relax(build, start, config)

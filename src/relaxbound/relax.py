@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import Mesh, RelaxConfig, SolutionGrid
+from .grid import RelaxConfig, SolutionGrid
 
 LEFT = (0,)                     # unknowns pinned at x = 0 unless the problem says
 
@@ -309,18 +309,18 @@ def _corrections(problem, y: np.ndarray, left: tuple[int, ...]):
 
 
 def relax(problem: Callable[[int, SolutionGrid], DifferenceBlock],
-          mesh: Mesh, initial: SolutionGrid,
-          config: RelaxConfig) -> RelaxOutcome:
+          initial: SolutionGrid, config: RelaxConfig) -> RelaxOutcome:
     """Iterate damped Newton steps until the correction norm drops below conv.
 
     problem.assemble_batch(y), when present, must return the whole
     sweeps (B, M+1, N, 2N+1) at each grid of the stacked (B, N, M) array
     y.  Otherwise problem(k, grid) must return the difference block for
     k = 1..M+1; the engine requests blocks in that order exactly once
-    per sweep.  N is the initial grid's row count; problem.left, when
-    present, names the unknowns the left boundary rows determine
-    (default (0,)), and config.scalv needs one entry per unknown.  Each sweep solves for the
-    raw corrections, measures err = mean(|delta|/scalv), damps by
+    per sweep.  N and M are the initial grid's shape; the mesh is the
+    problem's own.  problem.left, when present, names the unknowns the
+    left boundary rows determine (default (0,)), and config.scalv needs
+    one entry per unknown.  Each sweep solves for the raw corrections,
+    measures err = mean(|delta|/scalv), damps by
     fac = slowc/max(slowc, err), and applies y += fac*delta before
     testing err < conv.  A grid whose residuals are all exactly zero
     converges immediately with zero correction.  Non-convergence (itmax
@@ -328,21 +328,22 @@ def relax(problem: Callable[[int, SolutionGrid], DifferenceBlock],
     through the outcome, not raised; a singular block raises
     SingularBlockError.  This is relax_batch with one grid.
     """
-    out, = relax_batch(problem, mesh, [initial], [config])
+    out, = relax_batch(problem, [initial], [config])
     if isinstance(out, SingularBlockError):
         raise out
     return out
 
 
-def relax_batch(problem, mesh: Mesh, initial, config) -> list:
+def relax_batch(problem, initial, config) -> list:
     """relax every grid of initial, each with its own config, together.
 
-    initial and config are equal-length sequences.  All grids share one
-    Newton loop: each sweep corrects every grid still iterating at once,
-    and a grid leaves the loop at exactly the sweep, and with exactly
-    the outcome, that relax would give it alone.  The result lists, in
-    order, each grid's RelaxOutcome, or the SingularBlockError its
-    elimination hit, so one singular grid does not stop the others.
+    initial and config are equal-length sequences, and the grids share
+    one shape.  All grids share one Newton loop: each sweep corrects
+    every grid still iterating at once, and a grid leaves the loop at
+    exactly the sweep, and with exactly the outcome, that relax would
+    give it alone.  The result lists, in order, each grid's
+    RelaxOutcome, or the SingularBlockError its elimination hit, so one
+    singular grid does not stop the others.
 
     The problem contract is relax's.  Each sweep asks for a group of
     grids' whole sweeps at once, about GROUP_BLOCKS blocks in all (one
@@ -354,12 +355,10 @@ def relax_batch(problem, mesh: Mesh, initial, config) -> list:
         raise ValueError("need one config per initial grid")
     if not grids:
         return []
-    n = grids[0].n_vars
+    n, m = grids[0].y.shape
     for grid, cfg in zip(grids, configs):
-        if grid.m != mesh.m:
-            raise ValueError("initial grid does not match the mesh")
-        if grid.n_vars != n:
-            raise ValueError("initial grids differ in their number of unknowns")
+        if grid.y.shape != (n, m):
+            raise ValueError("initial grids differ in shape")
         if len(cfg.scalv) != n:
             raise ValueError(f"scalv needs one entry per unknown ({n})")
     left = tuple(getattr(problem, "left", LEFT))
@@ -372,7 +371,7 @@ def relax_batch(problem, mesh: Mesh, initial, config) -> list:
     itmax = np.array([cfg.itmax for cfg in configs])
     live = np.arange(len(y))            # members still iterating; rows of y
     out = [None] * len(y)
-    nvar = n * mesh.m
+    nvar = n * m
     it = 0
     while live.size:
         it += 1

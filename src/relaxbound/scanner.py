@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Mesh, Potential, ProblemSpec, RelaxConfig, SolutionGrid, map_x_to_z
+from .grid import (Mesh, Potential, ProblemSpec, RelaxConfig, SolutionGrid, _is_count,
+                   map_x_to_z)
 from .oracles import hydrogen_energy, hydrogen_radial, linear_energy, linear_radial
 from .problems import (ORIGINAL, block_builder, default_config, initial_guess,
                        is_normalized, level_guess, normalized_builder,
@@ -25,13 +26,11 @@ from .problems import (ORIGINAL, block_builder, default_config, initial_guess,
 from .relax import SingularBlockError, relax, relax_batch
 
 
-def roughness(grid: SolutionGrid, mesh: Mesh) -> float:
+def roughness(grid: SolutionGrid) -> float:
     """Sum of squared second differences of the max-normalised wavefunction.
 
     Zero amplitude scores 0 by convention (a flat line is smooth).
     """
-    if grid.m != mesh.m:
-        raise ValueError("grid does not match the mesh")
     w = grid.wavefunction
     peak = np.abs(w).max()
     if peak == 0.0:
@@ -51,12 +50,13 @@ class ScanEntry:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Scan results; selected indexes the smoothest converged entry."""
+    """Scan results; selected indexes the smoothest converged entry,
+    whose guess and relaxed level the selected_* properties read."""
 
     entries: tuple[ScanEntry, ...]
     selected: int
-    selected_guess: float
-    selected_relaxed: float
+    selected_guess = property(lambda self: self.entries[self.selected].e_guess)
+    selected_relaxed = property(lambda self: self.entries[self.selected].relaxed_e)
 
 
 class ScanSelectionError(RuntimeError):
@@ -104,8 +104,8 @@ def scan(spec: ProblemSpec, mesh: Mesh, config: RelaxConfig | None,
     """
     if not e_min < e_max:
         raise ValueError("need e_min < e_max")
-    if steps < 2:
-        raise ValueError("need at least two scan steps")
+    if not _is_count(steps) or steps < 2:
+        raise ValueError("need an integer count of at least two scan steps")
     build = (normalized_builder(mesh, spec) if is_normalized(formulation)
              else block_builder(mesh, spec))
     guesses = [float(g) for g in np.linspace(e_min, e_max, steps)]
@@ -116,16 +116,13 @@ def scan(spec: ProblemSpec, mesh: Mesh, config: RelaxConfig | None,
                for guess in guesses]
     starts = (initial_guess(spec, mesh, guess, formulation) for guess in guesses)
     entries = []
-    for guess, outcome in zip(guesses, relax_batch(build, mesh, starts, configs)):
+    for guess, outcome in zip(guesses, relax_batch(build, starts, configs)):
         if isinstance(outcome, SingularBlockError):
             entries.append(ScanEntry(guess, False, math.nan, math.inf))
         else:
             entries.append(ScanEntry(guess, outcome.converged, outcome.grid.energy,
-                                     roughness(outcome.grid, mesh)))
-    idx = _select(entries)
-    return ScanReport(entries=tuple(entries), selected=idx,
-                      selected_guess=entries[idx].e_guess,
-                      selected_relaxed=entries[idx].relaxed_e)
+                                     roughness(outcome.grid)))
+    return ScanReport(entries=tuple(entries), selected=_select(entries))
 
 
 def scan_diagnostics(report: ScanReport) -> dict:
@@ -178,8 +175,10 @@ def write_curve(x: np.ndarray, values: np.ndarray, path, fmt: str = "dat",
     """Write a curve with its values normalised to unit peak |value|.
 
     fmt "dat" writes 'x value' lines; "json" writes fields, then the x
-    and value lists, as one JSON object.
+    and value lists, as one JSON object.  x and values must be equally long.
     """
+    if len(x) != len(values):
+        raise ValueError(f"{len(x)} x values for {len(values)} curve values")
     values = values / max(np.abs(values).max(), 1e-300)
     with open(path, "w") as fh:
         if fmt == "dat":
@@ -187,13 +186,6 @@ def write_curve(x: np.ndarray, values: np.ndarray, path, fmt: str = "dat",
         else:
             json.dump({**fields, "x": x.tolist(), "value": values.tolist()}, fh,
                       indent=1)
-
-
-def write_wavefunction(grid: SolutionGrid, mesh: Mesh, path) -> None:
-    """Write 'x value' lines, value normalised to unit peak |value|."""
-    if grid.m != mesh.m:
-        raise ValueError("grid does not match the mesh")
-    write_curve(mesh.x, grid.wavefunction, path)
 
 
 # Reference eigenvalues (single-precision runs of the same scheme) used

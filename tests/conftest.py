@@ -156,7 +156,7 @@ def reference_elimination(s, left=(0,)):
     return np.array(dy)
 
 
-def reference_relax(problem, mesh, initial, config):
+def reference_relax(problem, initial, config):
     """relax for one grid, one sweep after another."""
     n, nl = initial.n_vars, len(getattr(problem, "left", (0,)))
     y = np.array(initial.y)
@@ -164,12 +164,12 @@ def reference_relax(problem, mesh, initial, config):
     for it in range(1, config.itmax + 1):
         grid = SolutionGrid(y, n)
         s = (problem.assemble(grid) if hasattr(problem, "assemble") else
-             np.array([problem(k, grid).s for k in range(1, mesh.m + 2)]))
+             np.array([problem(k, grid).s for k in range(1, initial.m + 2)]))
         if not (s[0, n - nl:, -1].any() or s[1:-1, :, -1].any()
                 or s[-1, :n - nl, -1].any()):
             return RelaxOutcome(grid, it, 0.0, True)
         dy = solve_block_system(s, getattr(problem, "left", (0,)))
-        err = float(sum(np.abs(dy[j]).sum() / config.scalv[j] for j in range(n))) / (n * mesh.m)
+        err = float(sum(np.abs(dy[j]).sum() / config.scalv[j] for j in range(n))) / (n * initial.m)
         if not math.isfinite(err):
             return RelaxOutcome(grid, it, math.inf, False)
         with np.errstate(over="ignore"):
@@ -195,15 +195,15 @@ def reference_scan(spec, mesh, config, e_min, e_max, steps,
         cfg = replace(cfg, scalv=cfg.scalv[:2] + (scale if scale > 0.0 else cfg.scalv[2],)
                       + cfg.scalv[3:])
         try:
-            out = reference_relax(build, mesh, initial_guess(spec, mesh, guess, formulation),
+            out = reference_relax(build, initial_guess(spec, mesh, guess, formulation),
                                   cfg)
         except SingularBlockError:
             entries.append(ScanEntry(guess, False, math.nan, math.inf))
             continue
         entries.append(ScanEntry(guess, out.converged, out.grid.energy,
-                                 roughness(out.grid, mesh)))
+                                 roughness(out.grid)))
     idx = _select(entries)
-    return ScanReport(tuple(entries), idx, entries[idx].e_guess, entries[idx].relaxed_e)
+    return ScanReport(tuple(entries), idx)
 
 
 def linear_level(l, n=1, mu=0.75, lam=5.0, r_max=12.0, points=20000):

@@ -186,7 +186,7 @@ def test_criterion_7_fixed_point_and_degeneracy(capsys, mesh101):
     y = np.zeros((3, mesh101.m))
     y[2] = level_guess(spec, -13.598270)
     start = SolutionGrid(y)
-    out = relax(block_builder(mesh101, spec), mesh101, start,
+    out = relax(block_builder(mesh101, spec), start,
                 default_config(spec, -13.598270))
     fixed = (out.converged and out.iterations == 1 and out.final_err == 0.0
              and np.array_equal(out.grid.y, start.y))

@@ -235,7 +235,10 @@ def test_tables_refuses_the_options_it_would_ignore(option, capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["tables", "--steps", "5", "--mesh-points", "21", *option])
     assert info.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: relaxbound tables ")
+    assert (f"relaxbound tables: error: unrecognized arguments: {' '.join(option)}"
+            in err)
 
 
 # ------------------------------------------------------------ bad usage --

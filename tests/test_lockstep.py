@@ -120,17 +120,17 @@ def test_mixed_retirement_batch_matches_relax(mesh101):
     spec, starts, configs = _mixed_members(mesh101)
     assert _groups(len(starts), mesh101) >= 3
     problem = Spoiled(block_builder(mesh101, spec))
-    got = relax_batch(problem, mesh101, starts, configs)
+    got = relax_batch(problem, starts, configs)
     sweeps = set()
     for out, start, cfg in zip(got, starts, configs):
         if start.energy == SINGULAR:
             for alone in (relax, reference_relax):
                 with pytest.raises(SingularBlockError) as info:
-                    alone(problem, mesh101, start, cfg)
+                    alone(problem, start, cfg)
                 assert isinstance(out, SingularBlockError) and out.k == info.value.k == 17
             continue
-        _assert_same_outcome(out, relax(problem, mesh101, start, cfg))
-        _assert_same_outcome(out, reference_relax(problem, mesh101, start, cfg))
+        _assert_same_outcome(out, relax(problem, start, cfg))
+        _assert_same_outcome(out, reference_relax(problem, start, cfg))
         sweeps.add(out.iterations)
     by_energy = {start.energy: out for start, out in zip(starts, got)}
     assert by_energy[POISONED].final_err == math.inf
@@ -167,9 +167,9 @@ def test_a_grid_is_exactly_solved_only_with_zero_boundary_residuals(mesh101):
             y[0, where] = 0.5
         starts.append(SolutionGrid(y))
     cfg = RelaxConfig(itmax=1)
-    got = relax_batch(BoundaryOnly(), mesh101, starts, [cfg] * 3)
+    got = relax_batch(BoundaryOnly(), starts, [cfg] * 3)
     for out, start in zip(got, starts):
-        _assert_same_outcome(out, reference_relax(BoundaryOnly(), mesh101, start, cfg))
+        _assert_same_outcome(out, reference_relax(BoundaryOnly(), start, cfg))
     assert [out.final_err > 0.0 for out in got] == [True, True, False]
 
 
@@ -186,9 +186,9 @@ def test_per_k_problem_runs_through_the_batched_path(mesh101):
         seen.append(k)
         return build(k, grid)
 
-    got = relax_batch(per_k, mesh101, starts, configs)
+    got = relax_batch(per_k, starts, configs)
     for out, start, cfg in zip(got, starts, configs):
-        _assert_same_outcome(out, reference_relax(build, mesh101, start, cfg))
+        _assert_same_outcome(out, reference_relax(build, start, cfg))
     # every member requests its sweep in order, one member after another
     sweep = list(range(1, mesh101.m + 2))
     assert seen == sweep * sum(out.iterations for out in got)
@@ -198,22 +198,22 @@ def test_relax_is_a_batch_of_one(mesh101):
     spec = ProblemSpec.linear(2, 0)
     start = initial_guess(spec, mesh101, 10.4410)
     cfg = default_config(spec, 10.4410)
-    out, = relax_batch(block_builder(mesh101, spec), mesh101, [start], [cfg])
-    _assert_same_outcome(out, relax(block_builder(mesh101, spec), mesh101, start, cfg))
+    out, = relax_batch(block_builder(mesh101, spec), [start], [cfg])
+    _assert_same_outcome(out, relax(block_builder(mesh101, spec), start, cfg))
 
 
 def test_relax_batch_checks_its_members(mesh101):
     spec = ProblemSpec.linear(1, 0)
     build = block_builder(mesh101, spec)
     start, cfg = initial_guess(spec, mesh101, 6.0), default_config(spec, 6.0)
-    assert relax_batch(build, mesh101, [], []) == []
+    assert relax_batch(build, [], []) == []
     with pytest.raises(ValueError):
-        relax_batch(build, mesh101, [start, start], [cfg])
+        relax_batch(build, [start, start], [cfg])
     with pytest.raises(ValueError):
-        relax_batch(build, mesh101, [start, initial_guess(spec, mesh101, 6.0, "normalized")],
+        relax_batch(build, [start, initial_guess(spec, mesh101, 6.0, "normalized")],
                     [cfg, cfg])
-    with pytest.raises(ValueError):
-        relax_batch(build, Mesh.uniform(51), [start], [cfg])
+    with pytest.raises(ValueError, match="51 points on a mesh of 101"):
+        relax_batch(build, [initial_guess(spec, Mesh.uniform(51), 6.0)], [cfg])
 
 
 # ------------------------------------------------------- batch assembly --

@@ -170,7 +170,7 @@ def test_relax_rejects_a_scalv_of_the_wrong_length(mesh101):
     spec = ProblemSpec.coulomb(1, 0)
     start = initial_guess(spec, mesh101, -13.6, formulation=NORMALIZED)
     with pytest.raises(ValueError, match="scalv"):
-        relax(normalized_builder(mesh101, spec), mesh101, start, RelaxConfig())
+        relax(normalized_builder(mesh101, spec), start, RelaxConfig())
 
 
 @pytest.mark.parametrize("call", [

@@ -197,13 +197,57 @@ def test_airy_zeros_interlace():
 def test_airy_zero_table_shape():
     table = airy_zero_table(4)
     assert len(table) == 4
-    assert table.zeros[0] == airy_zero(1)
+    assert table[0] == airy_zero(1)
+    assert len(airy_zero_table()) == MAX_AIRY_ZEROS
+    assert table.tobytes() == airy_zero_table()[:4].tobytes()
+
+
+def test_airy_zero_table_is_read_only():
+    table = airy_zero_table(4)
+    with pytest.raises(ValueError):
+        table[0] = 0.0
+    assert airy_zero(1) == table[0]
 
 
 @pytest.mark.parametrize("order", [0, 11, -3])
 def test_airy_zero_rejects_out_of_range(order):
     with pytest.raises(ValueError):
         airy_zero(order)
+
+
+# a count is a Python or numpy integer, never a bool or a float
+NOT_COUNTS = [
+    pytest.param(lambda: hydrogen_energy(1.5, 0), id="hydrogen_energy-1.5"),
+    pytest.param(lambda: hydrogen_energy(True, 0), id="hydrogen_energy-True"),
+    pytest.param(lambda: hydrogen_energy(1, 0.0), id="hydrogen_energy-l-0.0"),
+    pytest.param(lambda: hydrogen_radial(1.0, 0, 0.5), id="hydrogen_radial-1.0"),
+    pytest.param(lambda: hydrogen_radial(1, False, 0.5), id="hydrogen_radial-l-False"),
+    pytest.param(lambda: airy_zero(True), id="airy_zero-True"),
+    pytest.param(lambda: airy_zero(1.0), id="airy_zero-1.0"),
+    pytest.param(lambda: airy_zero_table(4.0), id="airy_zero_table-4.0"),
+    pytest.param(lambda: airy_zero_table(True), id="airy_zero_table-True"),
+    pytest.param(lambda: linear_energy(1.5), id="linear_energy-1.5"),
+    pytest.param(lambda: linear_radial(1.5, 0.5), id="linear_radial-1.5"),
+]
+
+
+@pytest.mark.parametrize("call", NOT_COUNTS)
+def test_counts_must_be_integers(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert hydrogen_energy(np.int64(2), np.int32(1)) == hydrogen_energy(2, 1)
+    assert hydrogen_radial(np.int64(2), np.int8(0), 0.5) == hydrogen_radial(2, 0, 0.5)
+    assert airy_zero(np.int64(3)) == airy_zero(3)
+    assert airy_zero_table(np.int32(4)).tobytes() == airy_zero_table(4).tobytes()
+    assert linear_energy(np.int64(2)) == linear_energy(2)
+
+
+def test_hydrogen_energy_defaults_to_the_hydrogen_spec():
+    for n, l in [(1, 0), (2, 0), (2, 1), (3, 2)]:
+        assert hydrogen_energy(n, l) == hydrogen_energy(n, l, ProblemSpec.coulomb(n, l))
 
 
 # --------------------------------------------------------- linear levels --

@@ -221,7 +221,7 @@ def test_default_config_zero_guess_falls_back_to_unit_scale():
 def test_solve_bound_state_equals_manual_assembly(mesh101):
     spec = ProblemSpec.linear(2, 0)
     wrapped = solve_bound_state(spec, mesh101, 10.4410)
-    manual = relax(block_builder(mesh101, spec), mesh101,
+    manual = relax(block_builder(mesh101, spec),
                    initial_guess(spec, mesh101, 10.4410),
                    default_config(spec, 10.4410))
     assert wrapped.converged == manual.converged

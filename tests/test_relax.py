@@ -43,11 +43,11 @@ def test_solver_needs_at_least_one_interior_block():
 
 
 def test_relax_rejects_mismatched_mesh():
-    mesh = Mesh.uniform(11)
+    # the problem owns the mesh: its builder refuses a grid of another size
+    build = block_builder(Mesh.uniform(11), ProblemSpec.coulomb(1, 0))
     grid = SolutionGrid(np.zeros((3, 21)))
-    with pytest.raises(ValueError):
-        relax(lambda k, g: DifferenceBlock(_zeros_block()), mesh, grid,
-              RelaxConfig())
+    with pytest.raises(ValueError, match="21 points on a mesh of 11"):
+        relax(build, grid, RelaxConfig())
 
 
 # --------------------------------------------- hand-solvable block system --
@@ -259,7 +259,7 @@ def test_zero_wavefunction_is_a_one_iteration_fixed_point(mesh101):
     y = np.zeros((3, mesh101.m))
     y[2] = level_guess(spec, -13.598270)
     start = SolutionGrid(y)
-    out = relax(block_builder(mesh101, spec), mesh101, start,
+    out = relax(block_builder(mesh101, spec), start,
                 default_config(spec, -13.598270))
     assert out.converged
     assert out.iterations == 1
@@ -278,7 +278,7 @@ def test_zero_amplitude_with_nonzero_slope_has_singular_jacobian(mesh101):
     y[2] = level_guess(spec, -13.598270)
     start = SolutionGrid(y)
     with pytest.raises(SingularBlockError) as info:
-        relax(block_builder(mesh101, spec), mesh101, start,
+        relax(block_builder(mesh101, spec), start,
               default_config(spec, -13.598270))
     assert info.value.k == mesh101.m + 1
 
@@ -308,7 +308,7 @@ def test_damped_step_is_previous_grid_plus_fac_delta(mesh101):
     assert err > cfg.slowc                  # guarantees real damping below
     fac = cfg.slowc / err
 
-    out = relax(build, mesh101, start, cfg)
+    out = relax(build, start, cfg)
     assert not out.converged
     assert out.iterations == 1
     assert out.final_err == pytest.approx(err, rel=1e-15)
@@ -325,7 +325,7 @@ def test_blocks_are_requested_in_order_once_per_sweep(mesh101):
         return build(k, grid)
 
     start = initial_guess(spec, mesh101, -13.598270)
-    out = relax(recording, mesh101, start,
+    out = relax(recording, start,
                 RelaxConfig(itmax=2, conv=1e-30, scalv=(1.0, 1.0, 13.6)))
     sweep = list(range(1, mesh101.m + 2))
     assert seen == sweep * out.iterations
@@ -339,8 +339,8 @@ def test_whole_sweep_and_per_block_problems_relax_identically(mesh101, spec, gue
     build = block_builder(mesh101, spec)
     start = initial_guess(spec, mesh101, guess)
     cfg = default_config(spec, guess)
-    whole = relax(build, mesh101, start, cfg)
-    per_block = relax(lambda k, g: build(k, g), mesh101, start, cfg)
+    whole = relax(build, start, cfg)
+    per_block = relax(lambda k, g: build(k, g), start, cfg)
     assert whole.grid.y.tobytes() == per_block.grid.y.tobytes()
     assert whole.iterations == per_block.iterations > 1
     assert whole.final_err == per_block.final_err
@@ -350,7 +350,7 @@ def test_whole_sweep_and_per_block_problems_relax_identically(mesh101, spec, gue
 def test_itmax_exhaustion_reports_nonconvergence(mesh101):
     spec = ProblemSpec.coulomb(1, 0)
     start = initial_guess(spec, mesh101, -13.598270)
-    out = relax(block_builder(mesh101, spec), mesh101, start,
+    out = relax(block_builder(mesh101, spec), start,
                 RelaxConfig(itmax=1, conv=1e-300, scalv=(1.0, 1.0, 13.6)))
     assert isinstance(out, RelaxOutcome)
     assert not out.converged
@@ -371,7 +371,7 @@ def test_nonfinite_residual_reports_nonconvergence(mesh101):
         return block
 
     start = initial_guess(spec, mesh101, -13.598270)
-    out = relax(poisoned, mesh101, start, default_config(spec, -13.598270))
+    out = relax(poisoned, start, default_config(spec, -13.598270))
     assert not out.converged
     assert out.final_err == math.inf
     assert np.array_equal(out.grid.y, start.y)   # grid never moved

@@ -9,7 +9,7 @@ from relaxbound import (Mesh, ProblemSpec, RelaxConfig, ScanEntry, ScanReport,
                         ScanSelectionError, SolutionGrid, compare_wavefunction,
                         hydrogen_radial, level_guess, reproduce_tables,
                         roughness, sample_exact_curve, scan, scan_diagnostics,
-                        write_wavefunction)
+                        write_curve)
 from relaxbound.relax import DifferenceBlock
 from relaxbound.scanner import (REFERENCE_COULOMB, REFERENCE_LINEAR,
                                 REFERENCE_SCAN_LINEAR, _select)
@@ -26,42 +26,36 @@ def _grid_from_wave(mesh, wave, energy=-1.0):
 
 
 def test_roughness_of_flat_zero_is_zero(mesh101):
-    assert roughness(_grid_from_wave(mesh101, np.zeros(mesh101.m)), mesh101) == 0.0
+    assert roughness(_grid_from_wave(mesh101, np.zeros(mesh101.m))) == 0.0
 
 
 def test_roughness_is_scale_and_sign_invariant(mesh101):
     wave = np.sin(np.pi * mesh101.x) ** 2
-    base = roughness(_grid_from_wave(mesh101, wave), mesh101)
+    base = roughness(_grid_from_wave(mesh101, wave))
     # powers of two scale exactly, so invariance is bitwise
-    assert roughness(_grid_from_wave(mesh101, 8.0 * wave), mesh101) == base
-    assert roughness(_grid_from_wave(mesh101, wave / 1024.0), mesh101) == base
-    assert roughness(_grid_from_wave(mesh101, -wave), mesh101) == base
+    assert roughness(_grid_from_wave(mesh101, 8.0 * wave)) == base
+    assert roughness(_grid_from_wave(mesh101, wave / 1024.0)) == base
+    assert roughness(_grid_from_wave(mesh101, -wave)) == base
 
 
 def test_roughness_of_a_smooth_profile_is_curvature_sized(mesh101):
     # for a unit-peak half-wave profile each second difference is at most
     # (pi*h)^2, giving the 4M(pi h)^4 ceiling with room to spare
     wave = np.sin(np.pi * mesh101.x) ** 2
-    r = roughness(_grid_from_wave(mesh101, wave), mesh101)
+    r = roughness(_grid_from_wave(mesh101, wave))
     m, h = mesh101.m, mesh101.h
     assert 0.0 < r <= 4.0 * m * (np.pi * h) ** 4
 
 
 def test_roughness_grows_quadratically_with_a_displaced_point(mesh101):
     wave = np.sin(np.pi * mesh101.x) ** 2
-    smooth = roughness(_grid_from_wave(mesh101, wave), mesh101)
+    smooth = roughness(_grid_from_wave(mesh101, wave))
     delta = 0.01
     kinked = np.array(wave)
     kinked[30] += delta                 # peak stays 1, so no renormalising
-    r = roughness(_grid_from_wave(mesh101, kinked), mesh101)
+    r = roughness(_grid_from_wave(mesh101, kinked))
     # the spike contributes (1, -2, 1)*delta to three second differences
     assert r - smooth >= 6.0 * delta * delta * 0.9
-
-
-def test_roughness_rejects_mismatched_mesh(mesh101):
-    grid = _grid_from_wave(Mesh.uniform(51), np.ones(51))
-    with pytest.raises(ValueError):
-        roughness(grid, mesh101)
 
 
 # ------------------------------------------------------------------ scan --
@@ -101,6 +95,18 @@ def test_scan_rejects_a_bad_window(mesh101):
         scan(spec, mesh101, None, 6.0, 5.0, 5)
     with pytest.raises(ValueError):
         scan(spec, mesh101, None, 5.0, 6.0, 1)
+
+
+@pytest.mark.parametrize("steps", [5.0, True, np.float64(5.0)], ids=repr)
+def test_scan_rejects_a_step_count_that_is_not_an_integer(mesh101, steps):
+    with pytest.raises(ValueError, match="integer count"):
+        scan(ProblemSpec.linear(1, 0), mesh101, None, 5.7, 6.2, steps)
+
+
+def test_scan_takes_a_numpy_integer_step_count(mesh101):
+    spec = ProblemSpec.linear(1, 0)
+    assert (scan(spec, mesh101, None, 5.7, 6.2, np.int64(3))
+            == scan(spec, mesh101, None, 5.7, 6.2, 3))
 
 
 def test_scan_handles_a_zero_guess_inside_the_window(mesh101):
@@ -187,8 +193,7 @@ def _report_from_roughness(values, converged=None):
     converged = converged or [True] * len(values)
     entries = tuple(ScanEntry(float(i), c, float(i), r)
                     for i, (r, c) in enumerate(zip(values, converged)))
-    return ScanReport(entries=entries, selected=0,
-                      selected_guess=0.0, selected_relaxed=0.0)
+    return ScanReport(entries=entries, selected=0)
 
 
 def test_diagnostics_flags_a_clear_minimum():
@@ -286,7 +291,7 @@ def test_write_wavefunction_format_and_normalisation(mesh101, tmp_path):
     wave = 3.0 * np.sin(np.pi * mesh101.x) ** 2
     grid = _grid_from_wave(mesh101, wave)
     path = tmp_path / "wave.dat"
-    write_wavefunction(grid, mesh101, path)
+    write_curve(mesh101.x, grid.wavefunction, path)
 
     lines = path.read_text().splitlines()
     assert len(lines) == mesh101.m
@@ -300,21 +305,23 @@ def test_write_wavefunction_format_and_normalisation(mesh101, tmp_path):
 def test_write_wavefunction_zero_grid_writes_zeros(mesh101, tmp_path):
     grid = _grid_from_wave(mesh101, np.zeros(mesh101.m))
     path = tmp_path / "flat.dat"
-    write_wavefunction(grid, mesh101, path)
+    write_curve(mesh101.x, grid.wavefunction, path)
     values = [float(line.split()[1]) for line in path.read_text().splitlines()]
     assert values == [0.0] * mesh101.m
 
 
 def test_write_wavefunction_rejects_mesh_mismatch(mesh101, tmp_path):
+    # zip would silently truncate to the shorter curve
     grid = _grid_from_wave(Mesh.uniform(11), np.ones(11))
-    with pytest.raises(ValueError):
-        write_wavefunction(grid, mesh101, tmp_path / "x.dat")
+    with pytest.raises(ValueError, match="101 x values for 11 curve values"):
+        write_curve(mesh101.x, grid.wavefunction, tmp_path / "x.dat")
+    assert not (tmp_path / "x.dat").exists()
 
 
 def test_write_wavefunction_propagates_path_errors(mesh101, tmp_path):
     grid = _grid_from_wave(mesh101, np.ones(mesh101.m))
     with pytest.raises(OSError):
-        write_wavefunction(grid, mesh101, tmp_path / "missing" / "x.dat")
+        write_curve(mesh101.x, grid.wavefunction, tmp_path / "missing" / "x.dat")
 
 
 # ----------------------------------------------------------- table report --
