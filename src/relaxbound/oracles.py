@@ -1,9 +1,9 @@
 """Closed-form references the numerical results are judged against.
 
-Hydrogen levels and low-lying radial forms come straight from the
-Coulomb bound-state formulas.  The linear potential reduces to the Airy
-equation, so its S-wave spectrum is built on the negative zeros of
-Ai(x); the evaluator below is self-contained (power series inside
+Hydrogen levels and radial functions, for every (n, l), come straight
+from the Coulomb bound-state formulas.  The linear potential reduces to
+the Airy equation, so its S-wave spectrum is built on the negative zeros
+of Ai(x); the evaluator below is self-contained (power series inside
 |x| <= 8, asymptotic expansions out to |x| <= 20).
 """
 
@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from .grid import LINEAR_LAMBDA, LINEAR_MU, ProblemSpec, _is_count
+from .grid import LINEAR_LAMBDA, LINEAR_MU, Potential, ProblemSpec, _is_count
 
 _AI_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)        # Ai(0)
 _AIP_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)    # Ai'(0)
@@ -24,33 +24,34 @@ MAX_AIRY_ZEROS = 10
 
 
 def hydrogen_energy(n: int, l: int, spec: ProblemSpec | None = None) -> float:
-    """Coulomb level -e^2/(2*a0*(n+l)^2); n counts nodes + 1, not the
+    """Coulomb level -e^2/(2*a0*N^2), N = n + l; n counts nodes + 1, not the
     principal quantum number, so (n, l) pairs with equal n+l are degenerate.
-    Without a spec, e^2 and a0 are ProblemSpec.coulomb(n, l)'s."""
+    spec must be the Coulomb (n, l) state; without one, e^2 and a0 are
+    ProblemSpec.coulomb(n, l)'s."""
     if not (_is_count(n) and _is_count(l)) or n < 1 or l < 0:
         raise ValueError("need integers n >= 1 and l >= 0")
     spec = spec or ProblemSpec.coulomb(n, l)
+    if spec.kind is not Potential.COULOMB or (spec.n, spec.l) != (n, l):
+        raise ValueError(f"spec is not the Coulomb ({n}, {l}) state")
     return -spec.coupling / (2.0 * spec.a0 * (n + l) ** 2)
 
 
 def hydrogen_radial(n: int, l: int, z) -> float:
-    """Reduced radial function u(z) = z*R(z), z in Bohr radii, unnormalised.
-
-    Only the three lowest states are tabulated; anything else raises.
-    """
-    if not (_is_count(n) and _is_count(l)):
-        raise ValueError("n and l must be integers")
+    """Reduced radial function u(z) = z*R(z), z in Bohr radii, unnormalised,
+    in hydrogen_energy's (n, l): u = z^(l+1) e^(-z/N) L_(n-1)^(2l+1)(2z/N)."""
+    if not (_is_count(n) and _is_count(l)) or n < 1 or l < 0:
+        raise ValueError("need integers n >= 1 and l >= 0")
     zv = np.asarray(z, dtype=float)
     if np.any(zv < 0.0):
         raise ValueError("z must be nonnegative")
-    if (n, l) == (1, 0):
-        u = zv * np.exp(-zv)
-    elif (n, l) == (2, 0):
-        u = zv * (1.0 - zv) * np.exp(-0.5 * zv)
-    elif (n, l) == (2, 1):
-        u = zv * zv * np.exp(-0.5 * zv)
-    else:
-        raise NotImplementedError(f"no closed form tabulated for (n, l) = ({n}, {l})")
+    principal = n + l
+    x = 2.0 * zv / principal
+    alpha = 2 * l + 1
+    lag_prev, lag = 0.0, 1.0                      # L_(-1) and L_0
+    for k in range(n - 1):                        # three-term recurrence
+        lag_prev, lag = lag, ((2 * k + 1 + alpha - x) * lag
+                              - (k + alpha) * lag_prev) / (k + 1)
+    u = zv ** (l + 1) * np.exp(-zv / principal) * lag
     return float(u) if u.ndim == 0 else u
 
 

@@ -143,7 +143,8 @@ def scan_diagnostics(report: ScanReport) -> dict:
 
 
 def compare_wavefunction(relaxed: SolutionGrid, exact: np.ndarray) -> float:
-    """RMS difference after normalising both curves to unit peak |value|."""
+    """RMS difference after normalising both curves to unit peak |value|,
+    the exact curve taking the relaxed one's overall sign."""
     w = relaxed.wavefunction
     e = np.asarray(exact, dtype=float)
     if e.shape != w.shape:
@@ -152,7 +153,7 @@ def compare_wavefunction(relaxed: SolutionGrid, exact: np.ndarray) -> float:
     ep = np.abs(e).max()
     if wp == 0.0 or ep == 0.0:
         raise ValueError("comparison undefined for an identically zero curve")
-    diff = w / wp - e / ep
+    diff = w / wp - math.copysign(1.0, np.dot(w, e)) * e / ep
     return float(math.sqrt(np.mean(diff * diff)))
 
 

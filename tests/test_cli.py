@@ -207,6 +207,15 @@ def test_curve_writers_keep_their_layout(tmp_path, capsys):
             f"{x:.6f} {v:.6f}\n" for x, v in zip(payload["x"], payload["value"]))
 
 
+def test_oracle_writes_every_coulomb_curve(tmp_path, capsys):
+    path = tmp_path / "r30.dat"
+    rc = cli.main(["oracle", "--n", "3", "--l", "0", "--out", str(path)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "exact eigenvalue: -1.510921" in out
+    assert len(path.read_text().splitlines()) == 101
+
+
 def test_oracle_spinning_linear_state_exits_two(capsys):
     rc = cli.main(["oracle", "--potential", "linear", "--l", "1"])
     err = capsys.readouterr().err

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 from relaxbound import (DifferenceBlock, Mesh, ProblemSpec, RelaxConfig,
-                        SolutionGrid, block_builder, default_config,
-                        hydrogen_energy, initial_guess, linear_energy,
-                        normalized_builder, relax, scan, solve_block_system,
+                        SolutionGrid, block_builder, compare_wavefunction,
+                        default_config, hydrogen_energy, initial_guess,
+                        linear_energy, normalized_builder, relax,
+                        sample_exact_curve, scan, solve_block_system,
                         solve_bound_state)
 from conftest import (assert_blocks_match_fd, dense_solve, linear_level,
                       smooth_grid)
@@ -242,6 +243,23 @@ def test_normalized_levels_converge_at_second_order(spec, guess, exact):
         errors.append(abs(out.grid.energy - exact))
     orders = [math.log(a / b) / math.log(4.0) for a, b in zip(errors, errors[1:])]
     assert all(1.8 <= p <= 2.2 for p in orders), (errors, orders)
+
+
+@pytest.mark.parametrize("spec, guess", [
+    (ProblemSpec.coulomb(2, 0), -13.598270),
+    (ProblemSpec.coulomb(2, 1), -13.598270),
+    (ProblemSpec.linear(2, 0), 10.4421),
+], ids=["coulomb-20", "coulomb-21", "linear-20"])
+def test_normalized_excited_states_match_their_closed_forms(spec, guess):
+    # each state against its own closed-form curve, up to sign, at O(h^2)
+    rms = []
+    for m in (101, 401):
+        mesh = Mesh.uniform(m)
+        out = solve_bound_state(spec, mesh, guess, formulation=NORMALIZED)
+        assert out.converged
+        rms.append(compare_wavefunction(out.grid, sample_exact_curve(spec, mesh)))
+    assert rms[0] < 1e-2
+    assert rms[1] < rms[0] / 10.0, rms
 
 
 def test_normalized_scan_relaxes_every_guess_to_one_level(mesh101):

@@ -52,10 +52,10 @@ def test_hydrogen_energy_rejects_bad_quantum_numbers(n, l):
 
 def test_radial_forms_at_fixed_points():
     assert hydrogen_radial(1, 0, 0.0) == 0.0
-    assert hydrogen_radial(2, 0, 1.0) == 0.0       # node from the (1 - z) factor
     assert hydrogen_radial(1, 0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
-    assert hydrogen_radial(2, 0, 2.0) == pytest.approx(-2.0 * math.exp(-1.0), rel=1e-14)
-    assert hydrogen_radial(2, 1, 2.0) == pytest.approx(4.0 * math.exp(-1.0), rel=1e-14)
+    assert hydrogen_radial(2, 0, 2.0) == 0.0       # 2s node: L_1^1(z) = 2 - z
+    assert hydrogen_radial(2, 1, 6.0) == 0.0       # 3p node: L_1^3(2z/3) = 4 - 2z/3
+    assert hydrogen_radial(1, 1, 2.0) == pytest.approx(4.0 * math.exp(-1.0), rel=1e-14)
 
 
 def test_radial_ground_state_peaks_at_one_bohr_radius():
@@ -78,8 +78,9 @@ def test_radial_forms_are_elementwise():
 
 
 def test_radial_rejects_unsupported_state():
-    with pytest.raises(NotImplementedError):
-        hydrogen_radial(3, 0, 1.0)
+    for n, l in [(0, 0), (1, -1)]:
+        with pytest.raises(ValueError):
+            hydrogen_radial(n, l, 1.0)
 
 
 def test_radial_rejects_negative_z():
@@ -98,29 +99,15 @@ def _radial_ode_residual(n, l, z, u_fn, energy):
     return d2 - coeff * u_fn(z)
 
 
-@pytest.mark.parametrize("n, l, energy_key", [
-    (1, 0, (1, 0)),
-    # the z^2 exp(-z/2) form is the nodeless l=1 state, which shares the
-    # (n+l)=2 level with the 2s state
-    (2, 1, (1, 1)),
-])
-def test_radial_forms_satisfy_the_ode(n, l, energy_key):
-    energy = hydrogen_energy(*energy_key)
+@pytest.mark.parametrize("n, l", [(1, 0), (2, 0), (2, 1), (1, 1), (3, 0), (1, 2),
+                                  (3, 2)])
+def test_radial_forms_satisfy_the_ode(n, l):
+    energy = hydrogen_energy(n, l)
     for z in (0.5, 1.0, 2.0, 3.5, 6.0):
+        u = hydrogen_radial(n, l, z)
         res = _radial_ode_residual(n, l, z, lambda zz: hydrogen_radial(n, l, zz),
                                    energy)
-        assert abs(res) <= 1e-6
-
-
-def test_second_s_state_form_misses_the_ode():
-    # z(1-z)exp(-z/2) is off by exactly exp(-z/2) in the second derivative;
-    # the true 2s shape would need (1 - z/2).  Kept verbatim from the source
-    # material; this test documents the defect so nobody "fixes" an oracle
-    # comparison into silently relying on it.
-    energy = hydrogen_energy(2, 0)
-    res = _radial_ode_residual(2, 0, 2.0, lambda zz: hydrogen_radial(2, 0, zz),
-                               energy)
-    assert abs(res) > 0.05
+        assert abs(res) <= 1e-6 * max(1.0, abs(u))
 
 
 # ------------------------------------------------------------------ Airy --
@@ -243,6 +230,17 @@ def test_numpy_integer_counts_are_accepted():
     assert airy_zero(np.int64(3)) == airy_zero(3)
     assert airy_zero_table(np.int32(4)).tobytes() == airy_zero_table(4).tobytes()
     assert linear_energy(np.int64(2)) == linear_energy(2)
+
+
+@pytest.mark.parametrize("spec", [
+    ProblemSpec.coulomb(1, 0),
+    ProblemSpec.coulomb(2, 1, coupling=2.0, mu=0.5),
+    ProblemSpec.linear(2, 0),
+], ids=["coulomb-1-0", "coulomb-2-1-constants", "linear-2-0"])
+def test_hydrogen_energy_rejects_a_spec_of_another_state(spec):
+    # asks for (2, 0); only the Coulomb (2, 0) spec may answer
+    with pytest.raises(ValueError, match="not the Coulomb"):
+        hydrogen_energy(2, 0, spec)
 
 
 def test_hydrogen_energy_defaults_to_the_hydrogen_spec():

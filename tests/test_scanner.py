@@ -241,10 +241,10 @@ def test_compare_wavefunction_hand_value():
     assert rms == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-15)
 
 
-def test_compare_wavefunction_sign_flip_is_large(mesh101):
+def test_compare_wavefunction_ignores_a_sign_flip(mesh101):
     wave = np.sin(np.pi * mesh101.x) ** 2
     grid = _grid_from_wave(mesh101, wave)
-    assert compare_wavefunction(grid, -wave) > 1.0
+    assert compare_wavefunction(grid, -wave) == 0.0
 
 
 def test_compare_wavefunction_rejects_bad_input(mesh101):
