@@ -168,8 +168,8 @@ class ProblemSpec:
 
     @property
     def a0(self) -> float:
-        """Bohr radius 1/(mu*e^2) that rescales the Coulomb equation; 1
-        for the linear problem, which does not use it."""
+        """The length unit of r: the Bohr radius 1/(mu*e^2) for Coulomb,
+        1 for the linear problem."""
         if self.kind is Potential.COULOMB:
             return 1.0 / (self.mu * self.coupling)
         return 1.0

@@ -9,10 +9,10 @@ point averages, the interior residuals are
     E2 = y2_k - y2_(k-1) -/+ (2h/(1-xb))*y2b + (h/(1-xb)^4)*B*y1b
     E3 = y3_k - y3_(k-1)
 
-where B collects the potential and centrifugal terms:
+where B collects the potential V, at r = xb/(1-xb) in units of a0
+(ProblemSpec.a0), and the centrifugal term:
 
-    Coulomb:  B = 2*mu*a0^2*(y3b + ((1-xb)/xb)*e^2/a0) - ((1-xb)/xb)^2*l*(l+1)
-    Linear:   B = 2*mu*(y3b - (xb/(1-xb))*lambda)       - ((1-xb)/xb)^2*l*(l+1)
+    B = 2*mu*a0^2*(y3b - V) - ((1-xb)/xb)^2*l*(l+1)
 
 The original formulation ("original", the default) has N = 3 unknowns,
 E2 with the + sign, and homogeneous boundary rows: y1 = 0 at x = 0
@@ -52,12 +52,10 @@ from .grid import Mesh, Potential, ProblemSpec, RelaxConfig, SolutionGrid
 from .relax import DifferenceBlock, RelaxOutcome, relax
 
 
-# (mass factor, potential term) of B for each potential, with omx = 1 - xb
+# V at the midpoints, -e^2/(a0*r) or lambda*r, with omx = 1 - xb
 _TERMS = {
-    Potential.COULOMB: lambda xbar, omx, spec: (
-        spec.mu * spec.a0 * spec.a0, omx / xbar * spec.coupling / spec.a0),
-    Potential.LINEAR: lambda xbar, omx, spec: (
-        spec.mu, -(xbar / omx * spec.coupling)),
+    Potential.COULOMB: lambda xbar, omx, spec: -(omx / xbar * spec.coupling / spec.a0),
+    Potential.LINEAR: lambda xbar, omx, spec: xbar / omx * spec.coupling,
 }
 
 
@@ -99,8 +97,8 @@ def _assemble(mesh: Mesh, y: np.ndarray, spec: ProblemSpec,
     # C pow by an ulp at some midpoints
     omx4 = np.float_power(omx, 4.0)
     ratio = omx / xbar
-    mu_eff, potential = _TERMS[spec.kind](xbar, omx, spec)
-    bracket = (2.0 * mu_eff * (y3b + potential)
+    mass = spec.mu * spec.a0 * spec.a0      # r is measured in units of a0
+    bracket = (2.0 * mass * (y3b - _TERMS[spec.kind](xbar, omx, spec))
                - ratio * ratio * spec.l * (spec.l + 1))
     # first-derivative term per y2b, signed as the formulation has it
     drift = -(h / omx) if normalized else h / omx
@@ -110,7 +108,7 @@ def _assemble(mesh: Mesh, y: np.ndarray, spec: ProblemSpec,
     mid[:, :, 0, rhs] = dy[0] - h * y2b
     mid[:, :, 1, 0] = mid[:, :, 1, c] = 0.5 * h * bracket / omx4
     mid[:, :, 1, 1] = -1.0 + drift
-    mid[:, :, 1, 2] = mid[:, :, 1, c + 2] = h * mu_eff * y1b / omx4
+    mid[:, :, 1, 2] = mid[:, :, 1, c + 2] = h * mass * y1b / omx4
     mid[:, :, 1, c + 1] = 1.0 + drift
     mid[:, :, 1, rhs] = dy[1] + 2.0 * drift * y2b + h / omx4 * bracket * y1b
     mid[:, :, 2, [2, c + 2]] = -1.0, 1.0

@@ -157,18 +157,15 @@ def compare_wavefunction(relaxed: SolutionGrid, exact: np.ndarray) -> float:
     return float(math.sqrt(np.mean(diff * diff)))
 
 
-def sample_exact_curve(spec: ProblemSpec, mesh: Mesh) -> np.ndarray:
-    """Closed-form reduced wavefunction sampled on the mesh (0 at x = 1)."""
-    out = np.zeros(mesh.m)
-    interior = mesh.x[:-1]
-    if spec.kind is Potential.COULOMB:
-        out[:-1] = hydrogen_radial(spec.n, spec.l, map_x_to_z(interior))
-    else:
-        if spec.l != 0:
-            raise NotImplementedError("no closed form for linear states with l > 0")
-        out[:-1] = linear_radial(spec.n, map_x_to_z(interior),
-                                 lam=spec.coupling, mu=spec.mu)
-    return out
+def sample_exact_curve(spec: ProblemSpec, mesh: Mesh) -> np.ndarray | None:
+    """Closed-form reduced wavefunction sampled on the mesh (0 at x = 1);
+    None where _closed_form is None (linear states with l > 0)."""
+    if spec.kind is Potential.LINEAR and spec.l != 0:
+        return None
+    z = map_x_to_z(mesh.x[:-1])
+    u = (hydrogen_radial(spec.n, spec.l, z) if spec.kind is Potential.COULOMB
+         else linear_radial(spec.n, z, lam=spec.coupling, mu=spec.mu))
+    return np.append(u, 0.0)
 
 
 def write_curve(x: np.ndarray, values: np.ndarray, path, fmt: str = "dat",

@@ -50,6 +50,15 @@ def test_solve_writes_json_payload(tmp_path, capsys):
     assert isinstance(payload["iterations"], int)
 
 
+def test_solve_without_a_closed_form_prints_no_comparison(capsys):
+    rc = cli.main(["solve", "--potential", "linear", "--l", "1",
+                   "--guess", "8.6", "--mesh-points", "21"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "converged=True" in out
+    assert "rms_vs_exact" not in out
+
+
 def test_solve_nonconvergence_exits_one(monkeypatch, capsys):
     def stuck(spec, mesh, e_guess, config=None):
         y = np.zeros((3, mesh.m))
@@ -221,6 +230,16 @@ def test_oracle_spinning_linear_state_exits_two(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "no closed form" in err
+
+
+def test_oracle_refuses_a_bad_mesh_before_any_output(tmp_path, capsys):
+    path = tmp_path / "curve.dat"
+    rc = cli.main(["oracle", "--mesh-points", "2", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert not path.exists()
 
 
 # ----------------------------------------------------------------- tables --
