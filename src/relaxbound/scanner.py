@@ -158,9 +158,8 @@ def compare_wavefunction(relaxed: SolutionGrid, exact: np.ndarray) -> float:
 
 
 def sample_exact_curve(spec: ProblemSpec, mesh: Mesh) -> np.ndarray | None:
-    """Closed-form reduced wavefunction sampled on the mesh (0 at x = 1);
-    None where _closed_form is None (linear states with l > 0)."""
-    if spec.kind is Potential.LINEAR and spec.l != 0:
+    """Closed-form reduced wavefunction on the mesh (0 at x = 1) or None."""
+    if not _has_closed_form(spec):
         return None
     z = map_x_to_z(mesh.x[:-1])
     u = (hydrogen_radial(spec.n, spec.l, z) if spec.kind is Potential.COULOMB
@@ -208,12 +207,16 @@ REFERENCE_SCAN_LINEAR = (
 )
 
 
+def _has_closed_form(spec: ProblemSpec) -> bool:
+    """Every Coulomb state has a closed form; a linear one only at l = 0."""
+    return spec.kind is Potential.COULOMB or spec.l == 0
+
+
 def _closed_form(spec: ProblemSpec) -> float | None:
-    if spec.kind is Potential.COULOMB:
-        return hydrogen_energy(spec.n, spec.l, spec)
-    if spec.l == 0:
-        return linear_energy(spec.n, spec.coupling, spec.mu)
-    return None
+    if not _has_closed_form(spec):
+        return None
+    return (hydrogen_energy(spec.n, spec.l, spec) if spec.kind is Potential.COULOMB
+            else linear_energy(spec.n, spec.coupling, spec.mu))
 
 
 def reproduce_tables(scan_steps: int = 41, mesh_points: int = 101) -> str:

@@ -59,6 +59,18 @@ def test_solve_without_a_closed_form_prints_no_comparison(capsys):
     assert "rms_vs_exact" not in out
 
 
+def test_solve_past_the_tabulated_airy_zeros_still_writes_its_curve(tmp_path, capsys):
+    # linear n = 11 has no tabulated Airy zero: no comparison, but no error either
+    path = tmp_path / "wave.dat"
+    rc = cli.main(["solve", "--potential", "linear", "--n", "11",
+                   "--guess", "20", "--mesh-points", "21", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert rc in (0, 1)
+    assert "error:" not in captured.err
+    assert "rms_vs_exact" not in captured.out
+    assert len(path.read_text().splitlines()) == 21
+
+
 def test_solve_nonconvergence_exits_one(monkeypatch, capsys):
     def stuck(spec, mesh, e_guess, config=None):
         y = np.zeros((3, mesh.m))
