@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 from .grid import Mesh, ProblemSpec
@@ -169,8 +170,11 @@ def main(argv=None) -> int:
     if extra:
         args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
+        # refused before any output; a write that fails later is reported the same way
+        if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"--out {args.out}: no such directory")
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

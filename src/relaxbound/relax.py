@@ -19,18 +19,20 @@ than required to come first.
 
 The linear system S*delta = -E is block tridiagonal.  It is solved
 stage by stage and back-substituted, never materialising the dense
-matrix, through stage kernels written as straight-line Python per
-layout.  relax_batch runs one Newton loop over B grids (relax is
-B = 1), as a scan relaxes a window of guesses: each sweep assembles a
-few grids' whole sweeps at a time and runs every grid through the same
-stage kernels, so each grid stops at the same sweep with the same bits
-as it would alone.
+matrix, by one elimination generated per layout: straight-line Python
+whose interior stage is the body of one loop over the sweep's blocks.
+relax_batch runs one Newton loop over B grids (relax is B = 1), as a
+scan relaxes a window of guesses: each sweep assembles a few grids'
+whole sweeps at a time and eliminates each grid alone, so each grid
+stops at the same sweep with the same bits as it would alone.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,9 +73,9 @@ class RelaxOutcome:
 
 
 def _stack(blocks) -> np.ndarray:
-    """Blocks as one (M+1, N, 2N+1) float array; arrays pass through."""
-    s = np.asarray(blocks if isinstance(blocks, np.ndarray)
-                   else [getattr(b, "s", b) for b in blocks], dtype=float)
+    """Blocks as one C-contiguous (M+1, N, 2N+1) float array; such arrays pass through."""
+    s = np.ascontiguousarray(blocks if isinstance(blocks, np.ndarray)
+                             else [getattr(b, "s", b) for b in blocks], dtype=float)
     if s.ndim != 3 or s.shape[2] != 2 * s.shape[1] + 1:
         raise ValueError("blocks must stack to an (M+1, N, 2N+1) array")
     return s
@@ -88,14 +90,14 @@ def _split(n: int, left) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return left, tuple(v for v in range(n) if v not in left)
 
 
-def _compile(name: str, lines: list[str]):
-    namespace = {"SingularBlockError": SingularBlockError}
+def _compile(name: str, lines: list[str], **names):
+    namespace = {"SingularBlockError": SingularBlockError, **names}
     exec("\n".join(lines), namespace)
     return namespace[name]
 
 
 class _Layout:
-    """Index plan and stage kernels for N unknowns with `left` pinned.
+    """Index plan and generated elimination for N unknowns with `left` pinned.
 
     Every stage leaves, per unknown it solves for, a relation
     delta = p[-1] - sum(p[j]*delta_t_j) over the trailing unknowns t_j
@@ -110,8 +112,12 @@ class _Layout:
     (a NaN never wins; a step without a positive product is singular),
     and the pivot row, divided by the pivot, is subtracted f times from
     each other row with f != 0.0, over the open sub and carry columns
-    only.  stages and back_substitute are straight-line Python written
-    once per layout.
+    only.  eliminate(sweep, m), generated once per layout, runs the
+    interior stage as the body of one loop over the flat tuples
+    struct.iter_unpack reads from the C-contiguous sweep, counting k.
+    The boundary stages, rel = stage(block, rel, k), and back (the
+    relations in reverse, the point's trailing unknowns in locals) run
+    once per solve and compile apart: compile memory grows with source.
     """
 
     def __init__(self, n: int, left: tuple[int, ...]):
@@ -125,38 +131,54 @@ class _Layout:
         kinds = [(range(n - nl, n), pinned, trailing + [2 * n], None),
                  (range(n), [*trail, *pinned], trailing + [2 * n], 0),
                  (range(n - nl), trailing, [2 * n], n)]
-        self.stages = [_compile("stage", self._stage(*kind)) for kind in kinds]
+        (t0, first), (t1, inner), (t2, right) = (self._stage(*kind) for kind in kinds)
+
+        def stage(target, body):
+            return _compile("stage", ["def stage(block, rel, k):", f" {target} = block",
+                                      *(f" {line}" for line in body), " return rel"])
 
         def value(p):
             return f"{p}[-1]" + "".join(f" - {p}[{j}] * x{t}"
                                         for j, t in enumerate(trail))
-        d = ", ".join(f"d{v}" for v in range(n))
-        self.back_substitute = _compile("back", [
-            "def back(rels, last, m):",
-            f" {d}, = dy = [[0.0] * m for _ in range({n})]",
-            *(f" d{t}[m - 1] = last[{j}][-1]" for j, t in enumerate(trail)),
-            " for idx in range(m - 1, 0, -1):",
-            *(f"  x{t} = d{t}[idx]" for t in trail),
-            f"  {', '.join(f'p{j}' for j in range(n))}, = rels[idx]",
-            *(f"  d{t}[idx - 1] = {value(f'p{j}')}" for j, t in enumerate(trail)),
-            *(f"  d{a}[idx] = {value(f'p{len(trail) + i}')}"
-              for i, a in enumerate(lead)),
-            *(f" x{t} = d{t}[0]" for t in trail),
-            *(f" d{a}[0] = {value(f'rels[0][{i}]')}" for i, a in enumerate(lead)),
+        x = ", ".join(f"x{t}" for t in trail)
+        back = _compile("back", [
+            "def back(rels, rel0, last, m):",
+            f" {', '.join(f'd{v}' for v in range(n))}, = dy = [[0.0] * m for _ in range({n})]",
+            f" {x}, = {', '.join(f'last[{j}][-1]' for j in range(len(trail)))},",
+            f" for idx, ({', '.join(f'p{j}' for j in range(n))}) in"
+            " zip(range(m - 1, 0, -1), reversed(rels)):",
+            *(f"  d{t}[idx] = x{t}" for t in trail),
+            *(f"  d{a}[idx] = {value(f'p{len(trail) + i}')}" for i, a in enumerate(lead)),
+            f"  {x}, = {', '.join(value(f'p{j}') for j in range(len(trail)))},",
+            *(f" d{t}[0] = x{t}" for t in trail),
+            *(f" d{a}[0] = {value(f'rel0[{i}]')}" for i, a in enumerate(lead)),
             " return dy"])
+        self.eliminate = _compile("eliminate", [
+            "def eliminate(sweep, m):",
+            f" blocks = iter_unpack('{n * (2 * n + 1)}d', sweep)",
+            " rel0 = rel = first(next(blocks), None, 1)",
+            " rels, k = [], 1",
+            f" for {t1} in islice(blocks, m - 1):",
+            "  k += 1",
+            *(f"  {line}" for line in inner),
+            "  rels.append(rel)",
+            " return back(rels, rel0, right(next(blocks), rel, m + 1), m)"],
+            iter_unpack=struct.iter_unpack, islice=itertools.islice,
+            first=stage(t0, first), right=stage(t2, right), back=back)
 
-    def _stage(self, rows: range, sub: list[int], carry: list[int], offset) -> list[str]:
-        """Source of stage(block, prev, k), the kernel of one kind of stage.
+    def _stage(self, rows: range, sub: list[int], carry: list[int], offset):
+        """(target, body): the source of one kind of stage, to be indented.
 
-        It reads its rows of the block (nested lists), negates the RHS,
-        substitutes prev's last n_left relations (unless offset is None),
-        eliminates by the pivot rule, raising SingularBlockError(k) where
-        that fails, and returns each sub column's relation in sub order.
-        Row i's entries are locals a{i}_{j} (sub) and c{i}_{j} (carry).
-        A step rotates its pivot row and column to position `step`,
-        keeping the others in order, so the searches stay first-largest
-        and the source grows as r**3, where unrolling every pivot order
-        grows as r! (2,075 lines for the N = 4 interior stage, not 327).
+        target unpacks a block's flat tuple into row i's a{i}_{j} (sub),
+        c{i}_{j} (carry) and f{i}_{j} (the previous point's pinned
+        columns).  body negates the RHS, substitutes the last n_left
+        relations of rel (unless offset is None), eliminates by the pivot
+        rule, raising SingularBlockError(k) where that fails, and leaves
+        each sub column's relation in rel, in sub order.  A step rotates
+        its pivot row and column to position `step`, so the searches stay
+        first-largest and the source grows as r**3, not r! (324 lines for
+        the N = 4 interior body, not 2,075).  |x| is written
+        x if x >= 0.0 else -x: it compares as abs(x) does, NaN included.
         """
         n, lead, trail, r, w = self.n, self.lead, self.trail, len(sub), len(carry)
         names = {col: f"a{{}}_{j}" for j, col in enumerate(sub)}
@@ -165,68 +187,65 @@ class _Layout:
                       if offset is not None})
 
         def rotate(group):              # the last to the front, the rest in order
-            return f"  {', '.join(group)} = {', '.join(group[-1:] + group[:-1])}"
+            return f" {', '.join(group)} = {', '.join(group[-1:] + group[:-1])}"
 
         def search(i, step):            # row i's offer: its first largest |entry|, scaled
             # the first step's search also takes the row's scale: starting
             # from |entry 0| rather than 0.0 changes b or jp only when that
             # entry is NaN, and then the row is singular
             first = step == 0
-            return [*([f" b = abs(a{i}_0)", " jp = 0"] if first else [" b = 0.0"]),
+            return [*([f"b = a{i}_0 if a{i}_0 >= 0.0 else -a{i}_0", "jp = 0"]
+                      if first else ["b = 0.0"]),
                     *(line for j in range(step + first, r) for line in (
-                        f" v = abs(a{i}_{j})", f" if v > b: b = v; jp = {j}")),
-                    *([" if not b > 0.0: raise SingularBlockError(k)", f" s{i} = 1.0 / b"]
+                        f"v = a{i}_{j} if a{i}_{j} >= 0.0 else -a{i}_{j}",
+                        f"if v > b: b = v; jp = {j}")),
+                    *(["if not b > 0.0: raise SingularBlockError(k)", f"s{i} = 1.0 / b"]
                       if first else []),
-                    f" v = b * s{i}", f" if v > best: best = v; prow = {i}; pcol = jp"]
+                    f"v = b * s{i}", f"if v > best: best = v; prow = {i}; pcol = jp"]
 
         def live(i, step):              # row i's entries still read from step on
             return [f"a{i}_{j}" for j in range(step, r)] + [f"c{i}_{j}" for j in range(w)]
 
         rhs = [f"c{i}_{w - 1}" for i in range(r)]
-        unpack = ", ".join("(" + ", ".join(names.get(col, "_").format(rows.index(row))
-                                           for col in range(2 * n + 1)) + ")"
-                           if row in rows else "_" for row in range(n))
-        lines = ["def stage(block, prev, k):", f" {unpack} = block",
-                 *(f" {x} = -{x}" for x in rhs)]
+        target = ", ".join(names.get(col, "_").format(rows.index(row)) if row in rows
+                           else "_" for row in range(n) for col in range(2 * n + 1))
+        lines = [f"{x} = -{x}" for x in rhs]
         for i in range(len(lead) if offset is not None else 0):
             q = [f"q{i}_{j}" for j in range(len(trail) + 1)]
-            lines.append(f" {', '.join(q)} = prev[{i - len(lead)}]")
+            lines.append(f"{', '.join(q)} = rel[{i - len(lead)}]")
             for row in range(r):
-                lines += [f" if f{row}_{i} != 0.0:",
-                          *(f"  {names[offset + u].format(row)} -= f{row}_{i} * {q[j]}"
+                lines += [f"if f{row}_{i} != 0.0:",
+                          *(f" {names[offset + u].format(row)} -= f{row}_{i} * {q[j]}"
                             for j, u in enumerate(trail)),
-                          f"  {rhs[row]} -= f{row}_{i} * {q[-1]}"]
-        lines.append(f" {', '.join(f'o{j}' for j in range(r))}, = range({r})")
+                          f" {rhs[row]} -= f{row}_{i} * {q[-1]}"]
+        lines.append(f"{', '.join(f'o{j}' for j in range(r))}, = {tuple(range(r))}")
         for step in range(r):
-            lines += [" best = 0.0", " prow = -1",
+            lines += ["best = 0.0", "prow = -1",
                       *(line for i in range(step, r) for line in search(i, step)),
-                      " if prow < 0: raise SingularBlockError(k)"]
+                      "if prow < 0: raise SingularBlockError(k)"]
             for p in range(step + 1, r):
-                lines += [f" {'el' if p > step + 1 else ''}if prow == {p}:",
+                lines += [f"{'el' if p > step + 1 else ''}if prow == {p}:",
                           *map(rotate, zip(*(live(i, step) for i in range(step, p + 1)))),
-                          f"  {', '.join(f's{i}' for i in range(step + 1, p + 1))}"
+                          f" {', '.join(f's{i}' for i in range(step + 1, p + 1))}"
                           f" = {', '.join(f's{i}' for i in range(step, p))}"]
             for p in range(step + 1, r):
-                lines += [f" {'el' if p > step + 1 else ''}if pcol == {p}:",
+                lines += [f"{'el' if p > step + 1 else ''}if pcol == {p}:",
                           *(rotate([f"a{i}_{j}" for j in range(step, p + 1)])
                             for i in range(r)),
                           rotate([f"o{j}" for j in range(step, p + 1)])]
             piv = live(step, step + 1)
-            lines += [f" inv = 1.0 / a{step}_{step}", *(f" {x} *= inv" for x in piv)]
+            lines += [f"inv = 1.0 / a{step}_{step}", *(f"{x} *= inv" for x in piv)]
             for i in range(r):
                 if i != step:
-                    lines += [f" if a{i}_{step} != 0.0:",
-                              *(f"  {x} -= a{i}_{step} * {y}"
+                    lines += [f"if a{i}_{step} != 0.0:",
+                              *(f" {x} -= a{i}_{step} * {y}"
                                 for x, y in zip(live(i, step + 1), piv))]
-        return [*lines, f" rel = [None] * {r}",
-                *(f" rel[o{i}] = {', '.join(f'c{i}_{j}' for j in range(w))},"
-                  for i in range(r)),
-                " return rel"]
+        return target, [*lines, f"rel = [None] * {r}",
+                        *(f"rel[o{i}] = {', '.join(f'c{i}_{j}' for j in range(w))},"
+                          for i in range(r))]
 
 
-@functools.cache
-def _layout(n: int, left: tuple[int, ...]) -> _Layout:
-    return _Layout(n, left)
+_layout = functools.cache(_Layout)     # one per layout, built at its first solve
 
 
 def solve_block_system(blocks, left=LEFT) -> np.ndarray:
@@ -242,13 +261,7 @@ def solve_block_system(blocks, left=LEFT) -> np.ndarray:
     m = s.shape[0] - 1
     if m < 2:
         raise ValueError("need a boundary block at each end and at least one interior block")
-    lay = _layout(s.shape[1], tuple(left))
-    first, interior, right = lay.stages
-    rels = [first(s[0].tolist(), None, 1)]
-    for k, block in enumerate(s[1:m], 2):
-        rels.append(interior(block.tolist(), rels[-1], k))
-    last = right(s[m].tolist(), rels[-1], m + 1)
-    return np.array(lay.back_substitute(rels, last, m))
+    return np.array(_layout(s.shape[1], tuple(left)).eliminate(s, m))
 
 
 GROUP_BLOCKS = 1024     # blocks per assembly: amortises numpy's call cost; 0.3 MB at N = 4
@@ -345,10 +358,8 @@ def relax_batch(problem, initial, config) -> list:
     RelaxOutcome, or the SingularBlockError its elimination hit, so one
     singular grid does not stop the others.
 
-    The problem contract is relax's.  Each sweep asks for a group of
-    grids' whole sweeps at once, about GROUP_BLOCKS blocks in all (one
-    grid when M + 1 is larger), and eliminates each grid alone through
-    the stage kernels.
+    The problem contract is relax's; _corrections assembles each sweep
+    and eliminates each grid alone.
     """
     grids, configs = list(initial), list(config)
     if len(grids) != len(configs):

@@ -296,6 +296,32 @@ def test_bad_choice_is_a_usage_error():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--guess", "-13.598270", "--mesh-points", "21"],
+    ["scan", "--emin", "-14", "--emax", "-13", "--steps", "3", "--mesh-points", "21"],
+    ["oracle", "--potential", "linear", "--mesh-points", "21"],
+    ["tables", "--steps", "5", "--mesh-points", "21"],
+], ids=lambda argv: argv[0])
+def test_out_in_a_missing_directory_exits_two_before_any_output(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    rc = cli.main([*argv, "--out", str(missing / "x.dat")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert not missing.exists()
+
+
+def test_an_out_path_that_cannot_be_written_exits_two(tmp_path, capsys):
+    # the directory exists, so the failure comes only when the curve is written
+    rc = cli.main(["oracle", "--potential", "linear", "--mesh-points", "21",
+                   "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:")
+
+
 def test_module_entry_point_matches_main(capsys):
     # python -m relaxbound routes through run() -> sys.exit(main())
     with pytest.raises(SystemExit) as info:

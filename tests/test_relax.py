@@ -152,6 +152,24 @@ def test_elimination_matches_the_plain_loop_reference_exactly(
         assert fast.tobytes() == reference_elimination(blocks, build.left).tobytes()
 
 
+@pytest.mark.parametrize("builder, n_vars", [(block_builder, 3),
+                                             (normalized_builder, 4)],
+                         ids=["original", "normalized"])
+def test_every_input_form_gives_the_same_bits(builder, n_vars, mesh101, rng):
+    # the elimination reads a C-contiguous sweep; any other form of the
+    # same blocks must be brought to it without changing a bit
+    build = builder(mesh101, ProblemSpec.coulomb(1, 0))
+    grid = smooth_grid(mesh101, rng, energy_scale=13.6, n_vars=n_vars)
+    s = np.ascontiguousarray(build.assemble(grid), dtype=float)
+    wide = np.zeros(s.shape[:2] + (s.shape[2] + 3,))
+    wide[..., 1:-2] = s
+    forms = [wide[..., 1:-2], np.asfortranarray(s), [DifferenceBlock(b) for b in s]]
+    assert not (forms[0].flags.c_contiguous or forms[1].flags.c_contiguous)
+    want = solve_block_system(s, build.left).tobytes()
+    for form in forms:
+        assert solve_block_system(form, build.left).tobytes() == want
+
+
 # ---------------------------------------------------------- pivot paths --
 
 
@@ -413,6 +431,22 @@ def test_singular_right_boundary_block_names_the_sentinel():
     with pytest.raises(SingularBlockError) as info:
         solve_block_system(blocks)
     assert info.value.k == m + 1
+
+
+@pytest.mark.parametrize("n, left", LAYOUTS, ids=["original", "normalized"])
+@pytest.mark.parametrize("place", ["first", "last"])
+def test_singular_interior_block_names_its_place_in_a_long_chain(n, left, place, rng):
+    # the elimination counts k in its loop over the interior blocks, so
+    # a zero row at k = 2 or k = M of a chain of many blocks must name
+    # exactly that block
+    m = 40
+    s = _forced_system(n, left, m, rng)
+    k = 2 if place == "first" else m
+    rows, sub, _ = _stage_kinds(n, left)[1]
+    s[k - 1, rows[-1], sub] = 0.0
+    with pytest.raises(SingularBlockError) as info:
+        solve_block_system(s, left)
+    assert info.value.k == k
 
 
 @pytest.mark.parametrize("where", [0, 2, 3], ids=["left", "interior", "right"])
