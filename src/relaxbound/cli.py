@@ -6,8 +6,9 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 from .grid import Mesh, ProblemSpec
 # kept importable here: bench/spans.py wraps cli.hydrogen_energy and cli.linear_energy
@@ -78,35 +79,39 @@ def _json_safe(value):
 def _cmd_solve(args) -> int:
     spec = _make_spec(args)
     mesh = Mesh.uniform(args.mesh_points)
-    try:
-        outcome = solve_bound_state(spec, mesh, args.guess)
-    except SingularBlockError as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 1
-    print(f"potential={args.potential} n={args.n} l={args.l} guess={args.guess}")
-    print(f"converged={outcome.converged} iterations={outcome.iterations} "
-          f"final_err={outcome.final_err:.3e}")
-    print(f"eigenvalue={outcome.grid.energy:.6f}")
+    outcome = solve_bound_state(spec, mesh, args.guess)
+    lines = [f"potential={args.potential} n={args.n} l={args.l} guess={args.guess}",
+             f"converged={outcome.converged} iterations={outcome.iterations} "
+             f"final_err={outcome.final_err:.3e}",
+             f"eigenvalue={outcome.grid.energy:.6f}"]
     with contextlib.suppress(ValueError):   # linear n > 10, or a zero relaxed curve
         exact = sample_exact_curve(spec, mesh)
         if exact is not None:
-            print(f"rms_vs_exact={compare_wavefunction(outcome.grid, exact):.4f}")
+            lines.append(f"rms_vs_exact={compare_wavefunction(outcome.grid, exact):.4f}")
     if args.out:
         write_curve(mesh.x, outcome.grid.wavefunction, args.out, args.format,
                     converged=outcome.converged, iterations=outcome.iterations,
                     final_err=_json_safe(outcome.final_err),
                     eigenvalue=outcome.grid.energy)
+    print("\n".join(lines))
     return 0 if outcome.converged else 1
 
 
 def _cmd_scan(args) -> int:
-    spec = _make_spec(args)
-    mesh = Mesh.uniform(args.mesh_points)
-    try:
-        report = scan(spec, mesh, None, args.emin, args.emax, args.steps)
-    except ScanSelectionError as exc:
-        print(f"scan failed: {exc}", file=sys.stderr)
-        return 1
+    report = scan(_make_spec(args), Mesh.uniform(args.mesh_points), None,
+                  args.emin, args.emax, args.steps)
+    if args.out and args.format == "dat":
+        Path(args.out).write_text("# e_guess converged relaxed_e roughness\n" + "".join(
+            f"{e.e_guess:.6f} {int(e.converged)} {e.relaxed_e:.6f} {e.roughness:.6e}\n"
+            for e in report.entries))
+    elif args.out:
+        Path(args.out).write_text(json.dumps({
+            "entries": [{k: _json_safe(v) for k, v in asdict(e).items()}
+                        for e in report.entries],
+            "selected": report.selected,
+            "selected_guess": report.selected_guess,
+            "selected_relaxed": report.selected_relaxed,
+        }, indent=1))
     diag = scan_diagnostics(report)
     n_conv = sum(e.converged for e in report.entries)
     print(f"scanned {len(report.entries)} guesses, {n_conv} converged")
@@ -114,50 +119,28 @@ def _cmd_scan(args) -> int:
           f"selected_relaxed={report.selected_relaxed:.6f}")
     print(f"roughness min={diag['min']:.3e} median={diag['median']:.3e} "
           f"distinguishable={diag['distinguishable']}")
-    if args.out:
-        if args.format == "dat":
-            with open(args.out, "w") as fh:
-                fh.write("# e_guess converged relaxed_e roughness\n")
-                for e in report.entries:
-                    fh.write(f"{e.e_guess:.6f} {int(e.converged)} "
-                             f"{e.relaxed_e:.6f} {e.roughness:.6e}\n")
-        else:
-            payload = {
-                "entries": [{
-                    "e_guess": e.e_guess,
-                    "converged": e.converged,
-                    "relaxed_e": _json_safe(e.relaxed_e),
-                    "roughness": _json_safe(e.roughness),
-                } for e in report.entries],
-                "selected": report.selected,
-                "selected_guess": report.selected_guess,
-                "selected_relaxed": report.selected_relaxed,
-            }
-            with open(args.out, "w") as fh:
-                json.dump(payload, fh, indent=1)
     return 0
 
 
 def _cmd_oracle(args) -> int:
     spec = _make_spec(args)
-    mesh = Mesh.uniform(args.mesh_points) if args.out else None   # refused before output
     energy = _closed_form(spec)
     if energy is None:
         print(f"no closed form for {args.potential} n={args.n} l={args.l}", file=sys.stderr)
         return 2
-    print(f"exact eigenvalue: {energy:.6f}")
     if args.out:
+        mesh = Mesh.uniform(args.mesh_points)
         write_curve(mesh.x, sample_exact_curve(spec, mesh), args.out, args.format,
                     eigenvalue=energy)
+    print(f"exact eigenvalue: {energy:.6f}")
     return 0
 
 
 def _cmd_tables(args) -> int:
     report = reproduce_tables(scan_steps=args.steps, mesh_points=args.mesh_points)
-    print(report)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report)
+        Path(args.out).write_text(report)
+    print(report)
     return 0
 
 
@@ -166,14 +149,16 @@ _COMMANDS = {"solve": _cmd_solve, "scan": _cmd_scan,
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, which writes --out before it prints; the
+    failures it raises map to exit code 1 here, bad input to 2."""
     args, extra = _build_parser().parse_known_args(argv)
     if extra:
         args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        # refused before any output; a write that fails later is reported the same way
-        if args.out is not None and not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise ValueError(f"--out {args.out}: no such directory")
         return _COMMANDS[args.command](args)
+    except (SingularBlockError, ScanSelectionError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

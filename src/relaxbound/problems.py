@@ -128,13 +128,21 @@ class BlockBuilder:
     count is not the mesh's.  Calling the builder as (k, grid) returns
     block k of the last grid's sweep, assembling and keeping
     the sweep whenever the grid changes.  left names the unknowns the
-    left boundary rows determine.
+    left boundary rows determine.  Construction refuses a mesh and spec
+    whose y-independent E2 factor overflows: every sweep would be non-finite.
     """
 
     def __init__(self, mesh: Mesh, spec: ProblemSpec, normalized: bool = False):
         self.mesh, self.spec, self.normalized = mesh, spec, normalized
         self.left = (0, 3) if normalized else (0,)
         self._grid = self._blocks = None
+        xbar = 0.5 * (mesh.x[:-1] + mesh.x[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            factor = (mesh.h * spec.mu * spec.a0 * spec.a0 / (1.0 - xbar) ** 4
+                      * (1.0 + np.abs(_TERMS[spec.kind](xbar, 1.0 - xbar, spec))))
+        if not np.isfinite(factor).all():
+            raise ValueError(f"{spec.kind.value} blocks overflow on {mesh.m} points: "
+                             f"h*mu*a0^2*(1+|V|)/(1-x)^4 is not finite")
 
     def assemble_batch(self, y: np.ndarray) -> np.ndarray:
         """The (B, M+1, N, 2N+1) sweeps at each grid of the stacked

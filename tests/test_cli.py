@@ -1,12 +1,14 @@
 """Command-line interface, exercised in process through cli.main."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 import relaxbound.cli as cli
-from relaxbound import RelaxOutcome, SolutionGrid
+from relaxbound import (RelaxOutcome, ScanEntry, ScanReport, SingularBlockError,
+                        SolutionGrid)
 
 
 # ------------------------------------------------------------------ solve --
@@ -101,15 +103,25 @@ def test_solve_rejects_nonfinite_parameters_as_exit_two(capsys):
     assert err.startswith("error:") and "finite" in err
 
 
-def test_solve_reports_a_singular_elimination_as_a_failed_solve(capsys):
-    # finite input: a0 = 1/(mu*e^2) overflows the Coulomb blocks, so the
-    # elimination finds no usable pivot in the last interior block
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = cli.main(["solve", "--potential", "coulomb", "--mu", "1e-300",
-                       "--guess", "-13", "--mesh-points", "11"])
+def test_solve_reports_a_singular_elimination_as_a_failed_solve(monkeypatch, capsys):
+    def singular(spec, mesh, e_guess, config=None):
+        raise SingularBlockError(11)
+
+    monkeypatch.setattr(cli, "solve_bound_state", singular)
+    rc = cli.main(["solve", "--guess", "-13", "--mesh-points", "11"])
     err = capsys.readouterr().err
     assert rc == 1
     assert "solve failed: singular block at k=11" in err
+
+
+def test_solve_refuses_a_spec_whose_blocks_overflow_as_exit_two(capsys):
+    # finite input: a0 = 1/(mu*e^2) = 1.4e302 overflows the Coulomb blocks
+    rc = cli.main(["solve", "--potential", "coulomb", "--mu", "1e-300",
+                   "--guess", "-13", "--mesh-points", "11"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "overflow" in captured.err
 
 
 def test_solve_rejects_an_underflowing_bohr_radius_as_exit_two(capsys):
@@ -173,6 +185,27 @@ def test_scan_with_nothing_converged_exits_one(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "scan failed" in err
+
+
+def test_scan_json_writes_nonfinite_entries_as_null(monkeypatch, tmp_path, capsys):
+    # a singular guess enters a scan as relaxed_e = nan, roughness = inf
+    def one_singular(spec, mesh, config, e_min, e_max, steps):
+        return ScanReport(entries=(ScanEntry(5.0, False, math.nan, math.inf),
+                                   ScanEntry(6.0, True, 5.97, 1e-4)), selected=1)
+
+    monkeypatch.setattr(cli, "scan", one_singular)
+    path = tmp_path / "scan.json"
+    rc = cli.main(["scan", "--emin", "5", "--emax", "6", "--steps", "2",
+                   "--format", "json", "--out", str(path)])
+    capsys.readouterr()
+    assert rc == 0
+    text = path.read_text()
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=1)
+    assert list(payload) == ["entries", "selected", "selected_guess", "selected_relaxed"]
+    assert payload["entries"] == [
+        {"e_guess": 5.0, "converged": False, "relaxed_e": None, "roughness": None},
+        {"e_guess": 6.0, "converged": True, "relaxed_e": 5.97, "roughness": 1e-4}]
 
 
 # ----------------------------------------------------------------- oracle --
@@ -296,12 +329,16 @@ def test_bad_choice_is_a_usage_error():
     assert info.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
+# one run of each subcommand, to which the tests below add an --out
+EVERY_COMMAND = [
     ["solve", "--guess", "-13.598270", "--mesh-points", "21"],
     ["scan", "--emin", "-14", "--emax", "-13", "--steps", "3", "--mesh-points", "21"],
     ["oracle", "--potential", "linear", "--mesh-points", "21"],
     ["tables", "--steps", "5", "--mesh-points", "21"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
 def test_out_in_a_missing_directory_exits_two_before_any_output(argv, tmp_path, capsys):
     missing = tmp_path / "missing"
     rc = cli.main([*argv, "--out", str(missing / "x.dat")])
@@ -313,13 +350,27 @@ def test_out_in_a_missing_directory_exits_two_before_any_output(argv, tmp_path, 
     assert not missing.exists()
 
 
-def test_an_out_path_that_cannot_be_written_exits_two(tmp_path, capsys):
-    # the directory exists, so the failure comes only when the curve is written
-    rc = cli.main(["oracle", "--potential", "linear", "--mesh-points", "21",
-                   "--out", str(tmp_path)])
-    err = capsys.readouterr().err
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_an_out_path_that_cannot_be_written_exits_two(argv, tmp_path, capsys):
+    # the directory exists, so the failure comes only when the file is written,
+    # and that comes before anything is printed
+    rc = cli.main([*argv, "--out", str(tmp_path)])
+    captured = capsys.readouterr()
     assert rc == 2
-    assert err.startswith("error:")
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_a_singular_elimination_in_tables_exits_one(monkeypatch, capsys):
+    def singular(scan_steps, mesh_points):
+        raise SingularBlockError(7)
+
+    monkeypatch.setattr(cli, "reproduce_tables", singular)
+    rc = cli.main(["tables", "--steps", "5", "--mesh-points", "21"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "tables failed: singular block at k=7\n"
 
 
 def test_module_entry_point_matches_main(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from relaxbound import (Mesh, Potential, ProblemSpec, RelaxConfig,
                         block_builder, default_config, initial_guess,
-                        level_guess, relax, solve_bound_state)
+                        level_guess, normalized_builder, relax, solve_bound_state)
 from conftest import assert_blocks_match_fd, reference_blocks, smooth_grid
 
 
@@ -245,3 +245,21 @@ def test_builders_dispatch_on_potential(mesh101, rng):
     lspec = ProblemSpec.linear(1, 0)
     assert not np.array_equal(block_builder(mesh101, cspec)(50, grid).s,
                               block_builder(mesh101, lspec)(50, grid).s)
+
+
+@pytest.mark.parametrize("build", [block_builder, normalized_builder])
+@pytest.mark.parametrize("m", [11, 101, 10001])
+def test_builders_refuse_a_spec_whose_blocks_overflow(build, m):
+    # a0 = 1/(mu*e^2) = 1.4e302 is finite, but mu*a0^2 = 1.9e304 overflows E2
+    with pytest.raises(ValueError, match="overflow"):
+        build(Mesh.uniform(m), ProblemSpec.coulomb(1, 0, mu=1e-300))
+
+
+@pytest.mark.parametrize("m", [101, 10001])
+def test_builders_accept_every_reference_state(m):
+    mesh = Mesh.uniform(m)
+    specs = [ProblemSpec.coulomb(n, l) for n, l in ((1, 0), (2, 0), (2, 1), (3, 0))]
+    specs += [ProblemSpec.linear(n, l) for n, l in ((1, 0), (2, 0), (1, 5))]
+    for spec in specs:
+        block_builder(mesh, spec)
+        normalized_builder(mesh, spec)

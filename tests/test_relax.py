@@ -42,6 +42,22 @@ def test_solver_needs_at_least_one_interior_block():
         solve_block_system(blocks)
 
 
+def test_solver_refuses_blocks_that_are_not_n_by_2n_plus_1():
+    with pytest.raises(ValueError, match="must stack"):
+        solve_block_system(np.zeros((5, 3, 6)))
+
+
+def test_relax_refuses_a_sweep_of_the_wrong_shape():
+    class OneBlockShort:
+        def assemble_batch(self, y):
+            b, n, m = y.shape
+            return np.zeros((b, m, n, 2 * n + 1))
+
+    grid = SolutionGrid(np.ones((3, 11)))
+    with pytest.raises(ValueError, match=r"sweeps of 1 grids must be \(1, 12, 3, 7\)"):
+        relax(OneBlockShort(), grid, RelaxConfig())
+
+
 def test_relax_rejects_mismatched_mesh():
     # the problem owns the mesh: its builder refuses a grid of another size
     build = block_builder(Mesh.uniform(11), ProblemSpec.coulomb(1, 0))

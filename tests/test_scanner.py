@@ -346,3 +346,15 @@ def test_reproduce_tables_smoke():
     assert "-13.621142" in report       # reference column carried through
     # every scan row made it into the report
     assert report.count("\n  ") >= 3 + 2 + 6
+
+
+def test_reproduce_tables_marks_a_scan_without_a_converged_guess_failed(monkeypatch):
+    import relaxbound.scanner as scanner_mod
+
+    def hopeless(spec, mesh, config, e_min, e_max, steps):
+        raise ScanSelectionError(())
+
+    monkeypatch.setattr(scanner_mod, "scan", hopeless)
+    report = reproduce_tables(scan_steps=5, mesh_points=21)
+    rows = [line.split() for line in report.splitlines() if "FAILED" in line]
+    assert rows == [[str(l), "FAILED", f"{ref:.4f}"] for l, ref in REFERENCE_SCAN_LINEAR]
