@@ -30,7 +30,7 @@ def _is_count(value) -> bool:
 def map_x_to_z(x):
     """Map x in [0, 1) to the radial coordinate z = x/(1 - x)."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+    if not ((arr >= 0.0) & (arr < 1.0)).all():         # NaN fails too
         raise ValueError("x must lie in [0, 1)")
     z = arr / (1.0 - arr)
     return float(z) if z.ndim == 0 else z
@@ -39,8 +39,8 @@ def map_x_to_z(x):
 def map_z_to_x(z):
     """Inverse of map_x_to_z: z in [0, inf) back to x = z/(1 + z)."""
     arr = np.asarray(z, dtype=float)
-    if np.any(arr < 0.0):
-        raise ValueError("z must be nonnegative")
+    if not ((arr >= 0.0) & (arr < np.inf)).all():
+        raise ValueError("z must be nonnegative and finite")
     x = arr / (1.0 + arr)
     return float(x) if x.ndim == 0 else x
 

@@ -42,8 +42,8 @@ def hydrogen_radial(n: int, l: int, z) -> float:
     if not (_is_count(n) and _is_count(l)) or n < 1 or l < 0:
         raise ValueError("need integers n >= 1 and l >= 0")
     zv = np.asarray(z, dtype=float)
-    if np.any(zv < 0.0):
-        raise ValueError("z must be nonnegative")
+    if not ((zv >= 0.0) & (zv < np.inf)).all():
+        raise ValueError("z must be nonnegative and finite")
     principal = n + l
     x = 2.0 * zv / principal
     alpha = 2 * l + 1
@@ -174,8 +174,8 @@ def airy_zero(order: int) -> float:
 
 def linear_energy(n: int, lam: float = LINEAR_LAMBDA, mu: float = LINEAR_MU) -> float:
     """S-wave level of V = lam*r:  E_n = -x_n * (lam^2/(2*mu))^(1/3)."""
-    if lam <= 0.0 or mu <= 0.0:
-        raise ValueError("lam and mu must be positive")
+    if not (0.0 < lam < math.inf and 0.0 < mu < math.inf):
+        raise ValueError("lam and mu must be positive and finite")
     return -airy_zero(n) * (lam * lam / (2.0 * mu)) ** (1.0 / 3.0)
 
 
@@ -186,11 +186,11 @@ def linear_radial(n: int, r, lam: float = LINEAR_LAMBDA, mu: float = LINEAR_MU):
     domain the function is far below double-precision visibility, so it
     is clamped to zero there.
     """
-    scale = (2.0 * mu / (lam * lam)) ** (1.0 / 3.0)
     energy = linear_energy(n, lam, mu)
+    scale = (2.0 * mu / (lam * lam)) ** (1.0 / 3.0)
     rv = np.asarray(r, dtype=float)
-    if np.any(rv < 0.0):
-        raise ValueError("r must be nonnegative")
+    if not ((rv >= 0.0) & (rv < np.inf)).all():
+        raise ValueError("r must be nonnegative and finite")
     arg = scale * (lam * rv - energy)
     out = np.empty_like(arg, dtype=float)
     flat_arg = arg.ravel()

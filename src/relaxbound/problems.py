@@ -59,77 +59,18 @@ _TERMS = {
 }
 
 
-def _assemble(mesh: Mesh, y: np.ndarray, spec: ProblemSpec,
-              normalized: bool) -> np.ndarray:
-    """The whole Newton sweep at each grid of y (B, N, M).
-
-    Returns (B, M+1, N, 2N+1); row k-1 of a member's sweep is block k.
-    Every entry is computed elementwise, so a block has the same bits
-    whichever batch it is assembled in.
-    """
-    h = mesh.h
-    n = 4 if normalized else 3
-    c, rhs = n, 2 * n           # first column of point k; residual column
-    s = np.zeros((y.shape[0], mesh.m + 1, n, rhs + 1))
-    # y1 = 0 at x = 0; its rows are the block's last
-    s[:, 0, 2, c] = 1.0
-    s[:, 0, 2, rhs] = y[:, 0, 0]
-    if normalized:              # y4 = 0 at x = 0
-        s[:, 0, 3, c + 3] = 1.0
-        s[:, 0, 3, rhs] = y[:, 3, 0]
-    # y1 = 0 at x = 1
-    s[:, -1, 0, c] = 1.0
-    s[:, -1, 0, rhs] = y[:, 0, -1]
-    if normalized:              # y4 = 1 at x = 1
-        s[:, -1, 1, c + 3] = 1.0
-        s[:, -1, 1, rhs] = y[:, 3, -1] - 1.0
-    else:                       # y2 = 0 at x = 1
-        s[:, -1, 1, c + 1] = 1.0
-        s[:, -1, 1, rhs] = y[:, 1, -1]
-
-    x = mesh.x
-    xbar = 0.5 * (x[:-1] + x[1:])
-    yl, yr = y[:, :, :-1], y[:, :, 1:]
-    y1b, y2b, y3b = (0.5 * (yl[:, :3] + yr[:, :3])).transpose(1, 0, 2)
-    dy = (yr - yl).transpose(1, 0, 2)
-    omx = 1.0 - xbar
-    # float_power, not **: numpy's integer-power fast path differs from
-    # C pow by an ulp at some midpoints
-    omx4 = np.float_power(omx, 4.0)
-    ratio = omx / xbar
-    mass = spec.mu * spec.a0 * spec.a0      # r is measured in units of a0
-    bracket = (2.0 * mass * (y3b - _TERMS[spec.kind](xbar, omx, spec))
-               - ratio * ratio * spec.l * (spec.l + 1))
-    # first-derivative term per y2b, signed as the formulation has it
-    drift = -(h / omx) if normalized else h / omx
-
-    mid = s[:, 1:-1]
-    mid[:, :, 0, [0, 1, c, c + 1]] = -1.0, -0.5 * h, 1.0, -0.5 * h
-    mid[:, :, 0, rhs] = dy[0] - h * y2b
-    mid[:, :, 1, 0] = mid[:, :, 1, c] = 0.5 * h * bracket / omx4
-    mid[:, :, 1, 1] = -1.0 + drift
-    mid[:, :, 1, 2] = mid[:, :, 1, c + 2] = h * mass * y1b / omx4
-    mid[:, :, 1, c + 1] = 1.0 + drift
-    mid[:, :, 1, rhs] = dy[1] + 2.0 * drift * y2b + h / omx4 * bracket * y1b
-    mid[:, :, 2, [2, c + 2]] = -1.0, 1.0
-    mid[:, :, 2, rhs] = dy[2]
-    if normalized:
-        mid[:, :, 3, 0] = mid[:, :, 3, c] = -h * y1b
-        mid[:, :, 3, [3, c + 3]] = -1.0, 1.0
-        mid[:, :, 3, rhs] = dy[3] - h * y1b * y1b
-    return s
-
-
 class BlockBuilder:
     """Mesh and physics bound into the problem relax expects.
 
-    assemble_batch(y) returns the whole sweeps at a stack of grids and
-    assemble(grid) the sweep at one; both refuse a grid whose point
-    count is not the mesh's.  Calling the builder as (k, grid) returns
-    block k of the last grid's sweep, assembling and keeping
-    the sweep whenever the grid changes.  left names the unknowns the
-    left boundary rows determine.  Construction refuses a mesh and spec
-    whose y-independent E2 factor overflows: every sweep would be non-finite.
+    Construction computes the midpoint terms that only mesh and spec
+    fix: V, (1-xb)^4, the centrifugal term, the signed drift and mu*a0^2.
+    It refuses a mesh and spec whose y-independent E2 factor overflows:
+    every sweep would be non-finite.  assemble_batch(y) returns the whole
+    sweeps at a stack of grids and assemble(grid) the sweep at one; both
+    refuse a grid whose point count is not the mesh's.  Calling the
+    builder as (k, grid) returns block k of the last grid's sweep,
+    assembling and keeping the sweep whenever the grid changes.  left
+    names the unknowns the left boundary rows determine.
     """
 
     def __init__(self, mesh: Mesh, spec: ProblemSpec, normalized: bool = False):
@@ -137,19 +78,69 @@ class BlockBuilder:
         self.left = (0, 3) if normalized else (0,)
         self._grid = self._blocks = None
         xbar = 0.5 * (mesh.x[:-1] + mesh.x[1:])
+        omx = 1.0 - xbar
         with np.errstate(over="ignore", invalid="ignore"):
-            factor = (mesh.h * spec.mu * spec.a0 * spec.a0 / (1.0 - xbar) ** 4
-                      * (1.0 + np.abs(_TERMS[spec.kind](xbar, 1.0 - xbar, spec))))
+            # float_power, not **: numpy's integer-power fast path differs
+            # from C pow by an ulp at some midpoints
+            self._omx4 = np.float_power(omx, 4.0)
+            self._v = _TERMS[spec.kind](xbar, omx, spec)
+            ratio = omx / xbar
+            self._centrifugal = ratio * ratio * spec.l * (spec.l + 1)
+            # first-derivative term per y2b, signed as the formulation has it
+            self._drift = -(mesh.h / omx) if normalized else mesh.h / omx
+            self._mass = spec.mu * spec.a0 * spec.a0    # r is measured in units of a0
+            factor = mesh.h * self._mass / self._omx4 * (1.0 + np.abs(self._v))
         if not np.isfinite(factor).all():
             raise ValueError(f"{spec.kind.value} blocks overflow on {mesh.m} points: "
                              f"h*mu*a0^2*(1+|V|)/(1-x)^4 is not finite")
 
     def assemble_batch(self, y: np.ndarray) -> np.ndarray:
         """The (B, M+1, N, 2N+1) sweeps at each grid of the stacked
-        (B, N, M) array y; M must be the mesh's point count."""
+        (B, N, M) array y, M the mesh's point count.  Every entry is
+        elementwise, so a block's bits do not depend on its batch."""
         if y.shape[-1] != self.mesh.m:
             raise ValueError(f"grids of {y.shape[-1]} points on a mesh of {self.mesh.m}")
-        return _assemble(self.mesh, y, self.spec, self.normalized)
+        h, normalized = self.mesh.h, self.normalized
+        n = 4 if normalized else 3
+        c, rhs = n, 2 * n           # first column of point k; residual column
+        s = np.zeros((y.shape[0], self.mesh.m + 1, n, rhs + 1))
+        # y1 = 0 at x = 0; its rows are the block's last
+        s[:, 0, 2, c] = 1.0
+        s[:, 0, 2, rhs] = y[:, 0, 0]
+        if normalized:              # y4 = 0 at x = 0
+            s[:, 0, 3, c + 3] = 1.0
+            s[:, 0, 3, rhs] = y[:, 3, 0]
+        # y1 = 0 at x = 1
+        s[:, -1, 0, c] = 1.0
+        s[:, -1, 0, rhs] = y[:, 0, -1]
+        if normalized:              # y4 = 1 at x = 1
+            s[:, -1, 1, c + 3] = 1.0
+            s[:, -1, 1, rhs] = y[:, 3, -1] - 1.0
+        else:                       # y2 = 0 at x = 1
+            s[:, -1, 1, c + 1] = 1.0
+            s[:, -1, 1, rhs] = y[:, 1, -1]
+
+        yl, yr = y[:, :, :-1], y[:, :, 1:]
+        y1b, y2b, y3b = (0.5 * (yl[:, :3] + yr[:, :3])).transpose(1, 0, 2)
+        dy = (yr - yl).transpose(1, 0, 2)
+        omx4, drift, mass = self._omx4, self._drift, self._mass
+        bracket = 2.0 * mass * (y3b - self._v) - self._centrifugal
+
+        mid = s[:, 1:-1]
+        mid[:, :, 0, [0, 1, c, c + 1]] = -1.0, -0.5 * h, 1.0, -0.5 * h
+        mid[:, :, 0, rhs] = dy[0] - h * y2b
+        mid[:, :, 1, 0] = mid[:, :, 1, c] = 0.5 * h * bracket / omx4
+        mid[:, :, 1, 1] = -1.0 + drift
+        mid[:, :, 1, 2] = mid[:, :, 1, c + 2] = h * mass * y1b / omx4
+        mid[:, :, 1, c + 1] = 1.0 + drift
+        mid[:, :, 1, rhs] = dy[1] + 2.0 * drift * y2b + h / omx4 * bracket * y1b
+        mid[:, :, 2, [2, c + 2]] = -1.0, 1.0
+        mid[:, :, 2, rhs] = dy[2]
+        if normalized:
+            mid[:, :, 3, 0] = mid[:, :, 3, c] = -h * y1b
+            mid[:, :, 3, [3, c + 3]] = -1.0, 1.0
+            mid[:, :, 3, rhs] = dy[3] - h * y1b * y1b
+        return s
 
     def assemble(self, grid: SolutionGrid) -> np.ndarray:
         """The (M+1, N, 2N+1) blocks of the sweep at grid."""

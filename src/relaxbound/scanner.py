@@ -176,6 +176,8 @@ def write_curve(x: np.ndarray, values: np.ndarray, path, fmt: str = "dat",
     """
     if len(x) != len(values):
         raise ValueError(f"{len(x)} x values for {len(values)} curve values")
+    if fmt not in ("dat", "json"):
+        raise ValueError(f"fmt must be 'dat' or 'json', not {fmt!r}")
     values = values / max(np.abs(values).max(), 1e-300)
     with open(path, "w") as fh:
         if fmt == "dat":

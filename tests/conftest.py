@@ -5,11 +5,11 @@ structured block solver: it materialises the full NM x NM Newton matrix
 from the very same difference blocks and solves it with numpy's LU.
 Keep it dumb on purpose; it must not share code with the solver.
 
-reference_blocks is the scalar route for checking the array assembler:
-the original one-block-at-a-time arithmetic on scalars, point by point,
-which the array code must reproduce bit for bit.  reference_elimination
-does the same for the block solver: the same pivots and arithmetic
-written as plain loops over index lists.
+reference_blocks is the scalar route for checking the array assembler,
+for both formulations: the one-block-at-a-time arithmetic on scalars,
+point by point, which the array code must reproduce bit for bit.
+reference_elimination does the same for the block solver: the same
+pivots and arithmetic written as plain loops over index lists.
 
 reference_relax and reference_scan are the routes for checking the
 batched engine: the one-grid Newton loop and the guess-by-guess scan,
@@ -220,15 +220,24 @@ def linear_level(l, n=1, mu=0.75, lam=5.0, r_max=12.0, points=20000):
 
 
 def _boundary_block(k, mesh, grid):
-    s = np.zeros((3, 7))
+    n = grid.n_vars
+    rhs = 2 * n
+    s = np.zeros((n, rhs + 1))
     if k == 1:
-        s[2, 3] = 1.0
-        s[2, 6] = grid.y[0, 0]
+        s[2, n] = 1.0
+        s[2, rhs] = grid.y[0, 0]
+        if n == 4:
+            s[3, n + 3] = 1.0
+            s[3, rhs] = grid.y[3, 0]
     else:
-        s[0, 3] = 1.0
-        s[0, 6] = grid.y[0, -1]
-        s[1, 4] = 1.0
-        s[1, 6] = grid.y[1, -1]
+        s[0, n] = 1.0
+        s[0, rhs] = grid.y[0, -1]
+        if n == 4:
+            s[1, n + 3] = 1.0
+            s[1, rhs] = grid.y[3, -1] - 1.0
+        else:
+            s[1, n + 1] = 1.0
+            s[1, rhs] = grid.y[1, -1]
     return s
 
 
@@ -236,6 +245,10 @@ def _interior_block(k, mesh, grid, spec):
     p, i = k - 2, k - 1
     h = mesh.h
     y = grid.y
+    n = grid.n_vars
+    rhs = 2 * n
+    # E2's first-derivative term: + in the original system, - in the normalised one
+    sign = 1.0 if n == 3 else -1.0
     xbar = 0.5 * (mesh.x[p] + mesh.x[i])
     y1b = 0.5 * (y[0, p] + y[0, i])
     y2b = 0.5 * (y[1, p] + y[1, i])
@@ -252,32 +265,40 @@ def _interior_block(k, mesh, grid, spec):
     omx = 1.0 - xbar
     omx4 = omx ** 4
 
-    s = np.zeros((3, 7))
+    s = np.zeros((n, rhs + 1))
     s[0, 0] = -1.0
     s[0, 1] = -0.5 * h
-    s[0, 3] = 1.0
-    s[0, 4] = -0.5 * h
-    s[0, 6] = y[0, i] - y[0, p] - h * y2b
+    s[0, n] = 1.0
+    s[0, n + 1] = -0.5 * h
+    s[0, rhs] = y[0, i] - y[0, p] - h * y2b
 
     d_wave = 0.5 * h * bracket / omx4
     d_energy = h * mu_eff * y1b / omx4
     s[1, 0] = d_wave
-    s[1, 1] = -1.0 + h / omx
+    s[1, 1] = -1.0 + sign * h / omx
     s[1, 2] = d_energy
-    s[1, 3] = d_wave
-    s[1, 4] = 1.0 + h / omx
-    s[1, 5] = d_energy
-    s[1, 6] = (y[1, i] - y[1, p] + 2.0 * h / omx * y2b
-               + h / omx4 * bracket * y1b)
+    s[1, n] = d_wave
+    s[1, n + 1] = 1.0 + sign * h / omx
+    s[1, n + 2] = d_energy
+    s[1, rhs] = (y[1, i] - y[1, p] + 2.0 * sign * h / omx * y2b
+                 + h / omx4 * bracket * y1b)
 
     s[2, 2] = -1.0
-    s[2, 5] = 1.0
-    s[2, 6] = y[2, i] - y[2, p]
+    s[2, n + 2] = 1.0
+    s[2, rhs] = y[2, i] - y[2, p]
+
+    if n == 4:
+        s[3, 0] = -h * y1b
+        s[3, 3] = -1.0
+        s[3, n] = -h * y1b
+        s[3, n + 3] = 1.0
+        s[3, rhs] = y[3, i] - y[3, p] - h * y1b * y1b
     return s
 
 
 def reference_blocks(spec, mesh, grid):
-    """All M+1 blocks, built one at a time from scalar arithmetic."""
+    """All M+1 blocks, built one at a time from scalar arithmetic; a
+    grid of four unknowns gets the normalised formulation's blocks."""
     last = mesh.m + 1
     return np.array([_boundary_block(k, mesh, grid) if k in (1, last)
                      else _interior_block(k, mesh, grid, spec)

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,6 +375,17 @@ def test_a_singular_elimination_in_tables_exits_one(monkeypatch, capsys):
     assert rc == 1
     assert captured.out == ""
     assert captured.err == "tables failed: singular block at k=7\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    # __main__.py itself, in a fresh interpreter that imports from src
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "relaxbound", "oracle", "--potential", "linear"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "exact eigenvalue: 5.972379" in proc.stdout
 
 
 def test_module_entry_point_matches_main(capsys):

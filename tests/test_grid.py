@@ -33,15 +33,16 @@ def test_maps_are_elementwise_on_arrays():
     assert z[1, 0] == 1.0
 
 
-@pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
+@pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan])
 def test_map_x_to_z_rejects_outside_domain(bad):
     with pytest.raises(ValueError):
         map_x_to_z(bad)
 
 
 def test_map_z_to_x_rejects_negative():
-    with pytest.raises(ValueError):
-        map_z_to_x(-1e-12)
+    for bad in (-1e-12, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            map_z_to_x(bad)
 
 
 @pytest.mark.parametrize("m", [3, 41, 101, 1000, 10001])

@@ -84,8 +84,9 @@ def test_radial_rejects_unsupported_state():
 
 
 def test_radial_rejects_negative_z():
-    with pytest.raises(ValueError):
-        hydrogen_radial(1, 0, -0.5)
+    for bad in (-0.5, math.nan, math.inf, [1.0, math.nan]):
+        with pytest.raises(ValueError):
+            hydrogen_radial(1, 0, bad)
 
 
 def _radial_ode_residual(n, l, z, u_fn, energy):
@@ -270,6 +271,11 @@ def test_linear_energy_rejects_bad_parameters():
         linear_energy(1, lam=0.0)
     with pytest.raises(ValueError):
         linear_energy(1, mu=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            linear_energy(1, lam=bad)
+        with pytest.raises(ValueError):
+            linear_energy(1, mu=bad)
 
 
 # ------------------------------------------------------- linear S states --
@@ -308,3 +314,9 @@ def test_linear_radial_peaks_inside_the_classical_region():
 def test_linear_radial_rejects_negative_radius():
     with pytest.raises(ValueError):
         linear_radial(1, -0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            linear_radial(1, bad)
+    # the parameters are checked before the Airy scale divides by lam
+    with pytest.raises(ValueError):
+        linear_radial(1, 1.0, lam=0.0)

@@ -7,6 +7,7 @@ import pytest
 from relaxbound import (Mesh, Potential, ProblemSpec, RelaxConfig,
                         block_builder, default_config, initial_guess,
                         level_guess, normalized_builder, relax, solve_bound_state)
+import relaxbound.problems as problems
 from conftest import assert_blocks_match_fd, reference_blocks, smooth_grid
 
 
@@ -133,17 +134,38 @@ def test_centrifugal_term_shifts_only_the_wave_derivatives(mesh101, rng):
 @pytest.mark.parametrize("kind", ["coulomb", "linear"])
 def test_sweep_assembly_matches_the_scalar_reference_exactly(kind, l, m, rng):
     # bit for bit: (1 - xb)^4 computed the array way must round like the
-    # scalar power at every midpoint, which the fine mesh probes densely
+    # scalar power at every midpoint, which the fine mesh probes densely;
+    # both formulations, in one case per (kind, l, m)
     spec = getattr(ProblemSpec, kind)(3, l)
     mesh = Mesh.uniform(m)
-    grid = smooth_grid(mesh, rng, energy_scale=13.6 if kind == "coulomb" else 5.0)
-    build = block_builder(mesh, spec)
-    ref = reference_blocks(spec, mesh, grid)
-    sweep = build.assemble(grid)
-    assert sweep.shape == (m + 1, 3, 7)
-    assert np.array_equal(sweep, ref)
-    for k in (1, 2, m, m + 1):
-        assert np.array_equal(build(k, grid).s, ref[k - 1])
+    for make, n in ((block_builder, 3), (normalized_builder, 4)):
+        grid = smooth_grid(mesh, rng, energy_scale=13.6 if kind == "coulomb" else 5.0,
+                           n_vars=n)
+        build = make(mesh, spec)
+        ref = reference_blocks(spec, mesh, grid)
+        sweep = build.assemble(grid)
+        assert sweep.shape == (m + 1, n, 2 * n + 1)
+        assert np.array_equal(sweep, ref)
+        for k in (1, 2, m, m + 1):
+            assert np.array_equal(build(k, grid).s, ref[k - 1])
+
+
+@pytest.mark.parametrize("make", [block_builder, normalized_builder],
+                         ids=["original", "normalized"])
+def test_builder_evaluates_the_potential_once(make, mesh101, rng, monkeypatch):
+    # V depends only on mesh and spec: construction computes it, and
+    # neither a sweep nor a per-k block computes it again
+    spec = ProblemSpec.coulomb(1, 0)
+    term, calls = problems._TERMS[spec.kind], []
+    monkeypatch.setitem(problems._TERMS, spec.kind,
+                        lambda *args: calls.append(args) or term(*args))
+    build = make(mesh101, spec)
+    n = 4 if build.normalized else 3
+    grids = [smooth_grid(mesh101, rng, energy_scale=13.6, n_vars=n) for _ in range(4)]
+    for grid in grids[:3]:
+        build.assemble(grid)
+    build(2, grids[3])
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------- guesses, config --

@@ -318,6 +318,13 @@ def test_write_wavefunction_rejects_mesh_mismatch(mesh101, tmp_path):
     assert not (tmp_path / "x.dat").exists()
 
 
+def test_write_curve_rejects_an_unknown_format(mesh101, tmp_path):
+    # anything but "dat" used to be written as JSON
+    with pytest.raises(ValueError, match="'csv'"):
+        write_curve(mesh101.x, np.ones(mesh101.m), tmp_path / "x.csv", fmt="csv")
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_write_wavefunction_propagates_path_errors(mesh101, tmp_path):
     grid = _grid_from_wave(mesh101, np.ones(mesh101.m))
     with pytest.raises(OSError):
