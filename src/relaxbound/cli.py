@@ -84,7 +84,7 @@ def _cmd_solve(args) -> int:
              f"converged={outcome.converged} iterations={outcome.iterations} "
              f"final_err={outcome.final_err:.3e}",
              f"eigenvalue={outcome.grid.energy:.6f}"]
-    with contextlib.suppress(ValueError):   # linear n > 10, or a zero relaxed curve
+    with contextlib.suppress(ValueError):   # closed form out of double range, or a zero curve
         exact = sample_exact_curve(spec, mesh)
         if exact is not None:
             lines.append(f"rms_vs_exact={compare_wavefunction(outcome.grid, exact):.4f}")
@@ -126,8 +126,7 @@ def _cmd_oracle(args) -> int:
     spec = _make_spec(args)
     energy = _closed_form(spec)
     if energy is None:
-        print(f"no closed form for {args.potential} n={args.n} l={args.l}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no closed form for {args.potential} n={args.n} l={args.l}")
     if args.out:
         mesh = Mesh.uniform(args.mesh_points)
         write_curve(mesh.x, sample_exact_curve(spec, mesh), args.out, args.format,

@@ -162,8 +162,8 @@ class ProblemSpec:
             raise ValueError("n and l must be integers")
         if self.n < 1 or self.l < 0:
             raise ValueError("need n >= 1 and l >= 0")
-        product = float(self.mu) * float(self.coupling)   # may underflow: a0 = 1/0 or inf
-        if self.kind is Potential.COULOMB and not (product > 0.0 and 1.0 / product < np.inf):
+        product = float(self.mu) * float(self.coupling)   # may under- or overflow
+        if self.kind is Potential.COULOMB and not (product and 0.0 < 1.0 / product < np.inf):
             raise ValueError("Bohr radius 1/(mu*coupling) must be positive and finite")
 
     @property

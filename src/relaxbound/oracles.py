@@ -14,7 +14,7 @@ from functools import cache
 
 import numpy as np
 
-from .grid import LINEAR_LAMBDA, LINEAR_MU, Potential, ProblemSpec, _is_count
+from .grid import LINEAR_LAMBDA, LINEAR_MU, ProblemSpec, _is_count
 
 _AI_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)        # Ai(0)
 _AIP_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)    # Ai'(0)
@@ -27,11 +27,9 @@ def hydrogen_energy(n: int, l: int, spec: ProblemSpec | None = None) -> float:
     """Coulomb level -e^2/(2*a0*N^2), N = n + l; n counts nodes + 1, not the
     principal quantum number, so (n, l) pairs with equal n+l are degenerate.
     spec must be the Coulomb (n, l) state; without one, e^2 and a0 are
-    ProblemSpec.coulomb(n, l)'s."""
-    if not (_is_count(n) and _is_count(l)) or n < 1 or l < 0:
-        raise ValueError("need integers n >= 1 and l >= 0")
+    ProblemSpec.coulomb(n, l)'s, whose construction checks n and l."""
     spec = spec or ProblemSpec.coulomb(n, l)
-    if spec.kind is not Potential.COULOMB or (spec.n, spec.l) != (n, l):
+    if spec != ProblemSpec.coulomb(n, l, spec.mu, spec.coupling):
         raise ValueError(f"spec is not the Coulomb ({n}, {l}) state")
     return -spec.coupling / (2.0 * spec.a0 * (n + l) ** 2)
 
@@ -39,19 +37,21 @@ def hydrogen_energy(n: int, l: int, spec: ProblemSpec | None = None) -> float:
 def hydrogen_radial(n: int, l: int, z) -> float:
     """Reduced radial function u(z) = z*R(z), z in Bohr radii, unnormalised,
     in hydrogen_energy's (n, l): u = z^(l+1) e^(-z/N) L_(n-1)^(2l+1)(2z/N)."""
-    if not (_is_count(n) and _is_count(l)) or n < 1 or l < 0:
-        raise ValueError("need integers n >= 1 and l >= 0")
+    ProblemSpec.coulomb(n, l)                     # checks n and l
     zv = np.asarray(z, dtype=float)
     if not ((zv >= 0.0) & (zv < np.inf)).all():
         raise ValueError("z must be nonnegative and finite")
     principal = n + l
-    x = 2.0 * zv / principal
     alpha = 2 * l + 1
-    lag_prev, lag = 0.0, 1.0                      # L_(-1) and L_0
-    for k in range(n - 1):                        # three-term recurrence
-        lag_prev, lag = lag, ((2 * k + 1 + alpha - x) * lag
-                              - (k + alpha) * lag_prev) / (k + 1)
-    u = zv ** (l + 1) * np.exp(-zv / principal) * lag
+    with np.errstate(over="ignore", invalid="ignore"):    # refused below
+        x = 2.0 * zv / principal
+        lag_prev, lag = 0.0, 1.0                  # L_(-1) and L_0
+        for k in range(n - 1):                    # three-term recurrence
+            lag_prev, lag = lag, ((2 * k + 1 + alpha - x) * lag
+                                  - (k + alpha) * lag_prev) / (k + 1)
+        u = zv ** (l + 1) * np.exp(-zv / principal) * lag
+    if not np.isfinite(u).all():
+        raise ValueError(f"u(z) of Coulomb ({n}, {l}) overflows double precision")
     return float(u) if u.ndim == 0 else u
 
 
@@ -176,22 +176,24 @@ def linear_energy(n: int, lam: float = LINEAR_LAMBDA, mu: float = LINEAR_MU) -> 
     """S-wave level of V = lam*r:  E_n = -x_n * (lam^2/(2*mu))^(1/3)."""
     if not (0.0 < lam < math.inf and 0.0 < mu < math.inf):
         raise ValueError("lam and mu must be positive and finite")
-    return -airy_zero(n) * (lam * lam / (2.0 * mu)) ** (1.0 / 3.0)
+    scale = (lam * lam / (2.0 * mu)) ** (1.0 / 3.0)
+    if not 0.0 < scale < math.inf:
+        raise ValueError("energy scale (lam^2/(2*mu))^(1/3) must be positive and finite")
+    return -airy_zero(n) * scale
 
 
 def linear_radial(n: int, r, lam: float = LINEAR_LAMBDA, mu: float = LINEAR_MU):
-    """Reduced S-wave eigenfunction u(r) = Ai((2*mu/lam^2)^(1/3)*(lam*r - E_n)).
+    """Reduced S-wave eigenfunction u(r) = Ai(x_n*(1 - lam*r/E_n)).
 
-    The Airy argument grows linearly with r; beyond the evaluator's
-    domain the function is far below double-precision visibility, so it
-    is clamped to zero there.
+    With E_n from linear_energy this is Ai((2*mu/lam^2)^(1/3)*(lam*r - E_n)),
+    and nothing divides by lam^2.  Beyond the evaluator's domain u is far
+    below double-precision visibility, so it is clamped to zero there.
     """
     energy = linear_energy(n, lam, mu)
-    scale = (2.0 * mu / (lam * lam)) ** (1.0 / 3.0)
     rv = np.asarray(r, dtype=float)
     if not ((rv >= 0.0) & (rv < np.inf)).all():
         raise ValueError("r must be nonnegative and finite")
-    arg = scale * (lam * rv - energy)
+    arg = airy_zero(n) * (1.0 - lam * rv / energy)
     out = np.empty_like(arg, dtype=float)
     flat_arg = arg.ravel()
     flat_out = out.ravel()

@@ -18,7 +18,8 @@ import numpy as np
 
 from .grid import (Mesh, Potential, ProblemSpec, RelaxConfig, SolutionGrid, _is_count,
                    map_x_to_z)
-from .oracles import hydrogen_energy, hydrogen_radial, linear_energy, linear_radial
+from .oracles import (MAX_AIRY_ZEROS, hydrogen_energy, hydrogen_radial, linear_energy,
+                      linear_radial)
 from .problems import (ORIGINAL, block_builder, default_config, initial_guess,
                        is_normalized, level_guess, normalized_builder,
                        solve_bound_state)
@@ -210,8 +211,8 @@ REFERENCE_SCAN_LINEAR = (
 
 
 def _has_closed_form(spec: ProblemSpec) -> bool:
-    """Every Coulomb state has a closed form; a linear one only at l = 0."""
-    return spec.kind is Potential.COULOMB or spec.l == 0
+    """Every Coulomb state has a closed form; a linear one at l = 0, n <= MAX_AIRY_ZEROS."""
+    return spec.kind is Potential.COULOMB or (spec.l == 0 and spec.n <= MAX_AIRY_ZEROS)
 
 
 def _closed_form(spec: ProblemSpec) -> float | None:

@@ -57,12 +57,16 @@ def test_solve_writes_json_payload(tmp_path, capsys):
 
 
 def test_solve_without_a_closed_form_prints_no_comparison(capsys):
-    rc = cli.main(["solve", "--potential", "linear", "--l", "1",
-                   "--guess", "8.6", "--mesh-points", "21"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "converged=True" in out
-    assert "rms_vs_exact" not in out
+    # linear l = 1 has none; at lambda = 1e-200 the linear energy scale
+    # underflows, and Coulomb (242, 241)'s u(z) overflows at z = 19
+    for argv in (["--potential", "linear", "--l", "1", "--guess", "8.6"],
+                 ["--potential", "linear", "--lambda", "1e-200", "--guess", "1"],
+                 ["--n", "242", "--l", "241", "--guess", "-13.6"]):
+        rc = cli.main(["solve", *argv, "--mesh-points", "21"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "converged=True" in out
+        assert "rms_vs_exact" not in out
 
 
 def test_solve_past_the_tabulated_airy_zeros_still_writes_its_curve(tmp_path, capsys):
@@ -275,10 +279,13 @@ def test_oracle_writes_every_coulomb_curve(tmp_path, capsys):
 
 
 def test_oracle_spinning_linear_state_exits_two(capsys):
-    rc = cli.main(["oracle", "--potential", "linear", "--l", "1"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "no closed form" in err
+    # l = 1, and n = 11 past the tabulated Airy zeros: no closed form
+    for state in (["--l", "1"], ["--n", "11"]):
+        rc = cli.main(["oracle", "--potential", "linear", *state])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: no closed form")
 
 
 def test_oracle_refuses_a_bad_mesh_before_any_output(tmp_path, capsys):

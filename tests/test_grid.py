@@ -178,10 +178,11 @@ def test_spec_rejects_nonfinite_physics(make, value, field):
         make(1, 0, **{field: value})
 
 
-@pytest.mark.parametrize("mu, e2", [(1e-300, 1e-300), (1e-300, 1e-20)],
-                         ids=["product-zero", "product-subnormal"])
+@pytest.mark.parametrize("mu, e2", [(1e-300, 1e-300), (1e-300, 1e-20), (1e200, 1e200)],
+                         ids=["product-zero", "product-subnormal", "product-inf"])
 def test_coulomb_spec_rejects_an_underflowing_bohr_radius(mu, e2):
-    # mu*e^2 underflows to 0 (a0 = 1/0) or to a subnormal (a0 = inf)
+    # mu*e^2 underflows to 0 (a0 = 1/0) or to a subnormal (a0 = inf), or
+    # overflows to inf (a0 = 0)
     with pytest.raises(ValueError, match="Bohr radius"):
         ProblemSpec.coulomb(1, 0, mu=mu, coupling=e2)
 

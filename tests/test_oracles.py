@@ -89,6 +89,12 @@ def test_radial_rejects_negative_z():
             hydrogen_radial(1, 0, bad)
 
 
+def test_radial_refuses_a_curve_double_precision_cannot_hold():
+    # z^(l+1) overflows: 99^201 is about 1e401
+    with pytest.raises(ValueError, match="overflows"):
+        hydrogen_radial(1, 200, np.linspace(0.0, 99.0, 12))
+
+
 def _radial_ode_residual(n, l, z, u_fn, energy):
     """Residual of u'' = (l(l+1)/z^2 - 2*mu*a0^2*E - 2/z) u at z, with the
     second derivative taken by central differences (step small enough to
@@ -208,6 +214,8 @@ NOT_COUNTS = [
     pytest.param(lambda: hydrogen_energy(1.5, 0), id="hydrogen_energy-1.5"),
     pytest.param(lambda: hydrogen_energy(True, 0), id="hydrogen_energy-True"),
     pytest.param(lambda: hydrogen_energy(1, 0.0), id="hydrogen_energy-l-0.0"),
+    pytest.param(lambda: hydrogen_energy(True, 0, ProblemSpec.coulomb(1, 0)),
+                 id="hydrogen_energy-True-with-spec"),
     pytest.param(lambda: hydrogen_radial(1.0, 0, 0.5), id="hydrogen_radial-1.0"),
     pytest.param(lambda: hydrogen_radial(1, False, 0.5), id="hydrogen_radial-l-False"),
     pytest.param(lambda: airy_zero(True), id="airy_zero-True"),
@@ -276,6 +284,10 @@ def test_linear_energy_rejects_bad_parameters():
             linear_energy(1, lam=bad)
         with pytest.raises(ValueError):
             linear_energy(1, mu=bad)
+    # finite, but the energy scale (lam^2/(2*mu))^(1/3) overflows or underflows
+    for params in ({"lam": 1e200}, {"lam": 1e-200}, {"mu": 1e-320}):
+        with pytest.raises(ValueError, match="energy scale"):
+            linear_energy(1, **params)
 
 
 # ------------------------------------------------------- linear S states --
@@ -317,6 +329,8 @@ def test_linear_radial_rejects_negative_radius():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             linear_radial(1, bad)
-    # the parameters are checked before the Airy scale divides by lam
-    with pytest.raises(ValueError):
-        linear_radial(1, 1.0, lam=0.0)
+    # linear_energy's checks refuse lam, mu and the energy scale the
+    # Airy argument is built from
+    for lam in (0.0, 1e-200):
+        with pytest.raises(ValueError):
+            linear_radial(1, 1.0, lam=lam)

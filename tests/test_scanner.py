@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from relaxbound import (Mesh, ProblemSpec, RelaxConfig, ScanEntry, ScanReport,
-                        ScanSelectionError, SolutionGrid, compare_wavefunction,
-                        hydrogen_radial, level_guess, reproduce_tables,
+from relaxbound import (LINEAR_LAMBDA, LINEAR_MU, MAX_AIRY_ZEROS, Mesh, ProblemSpec,
+                        RelaxConfig, ScanEntry, ScanReport, ScanSelectionError,
+                        SolutionGrid, airy_ai, compare_wavefunction, hydrogen_radial,
+                        level_guess, linear_energy, map_x_to_z, reproduce_tables,
                         roughness, sample_exact_curve, scan, scan_diagnostics,
                         write_curve)
 from relaxbound.relax import DifferenceBlock
 from relaxbound.scanner import (REFERENCE_COULOMB, REFERENCE_LINEAR,
-                                REFERENCE_SCAN_LINEAR, _select)
+                                REFERENCE_SCAN_LINEAR, _closed_form, _select)
 
 
 def _grid_from_wave(mesh, wave, energy=-1.0):
@@ -279,9 +280,23 @@ def test_sample_exact_curve_linear_vanishes_at_both_ends(mesh101):
     assert np.abs(curve).max() > 0.1
 
 
+def test_sample_exact_curve_linear_matches_the_scaled_airy_argument(mesh101):
+    # u(r) = Ai((2*mu/lam^2)^(1/3)*(lam*r - E_n)), clamped to 0 where the argument passes 20
+    lam, mu = LINEAR_LAMBDA, LINEAR_MU
+    r = map_x_to_z(mesh101.x[:-1])
+    for n in range(1, MAX_AIRY_ZEROS + 1):
+        arg = (2.0 * mu / lam**2) ** (1.0 / 3.0) * (lam * r - linear_energy(n, lam, mu))
+        expected = np.array([0.0 if a > 20.0 else airy_ai(a) for a in arg] + [0.0])
+        curve = sample_exact_curve(ProblemSpec.linear(n, 0), mesh101)
+        assert np.abs(curve - expected).max() <= 1e-8 * np.abs(curve).max()
+
+
 def test_sample_exact_curve_rejects_spinning_linear_states(mesh101):
-    # no closed form, as _closed_form says for the same state
-    assert sample_exact_curve(ProblemSpec.linear(1, 1), mesh101) is None
+    # no closed form for l > 0 or past the tabulated Airy zeros, as
+    # _closed_form says for the same state
+    for n, l in [(1, 1), (MAX_AIRY_ZEROS + 1, 0)]:
+        assert sample_exact_curve(ProblemSpec.linear(n, l), mesh101) is None
+        assert _closed_form(ProblemSpec.linear(n, l)) is None
 
 
 # ----------------------------------------------------------- file output --
