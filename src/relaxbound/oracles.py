@@ -31,7 +31,10 @@ def hydrogen_energy(n: int, l: int, spec: ProblemSpec | None = None) -> float:
     spec = spec or ProblemSpec.coulomb(n, l)
     if spec != ProblemSpec.coulomb(n, l, spec.mu, spec.coupling):
         raise ValueError(f"spec is not the Coulomb ({n}, {l}) state")
-    return -spec.coupling / (2.0 * spec.a0 * (n + l) ** 2)
+    level = -spec.coupling / (2.0 * spec.a0 * (n + l) ** 2)
+    if not math.isfinite(level):
+        raise ValueError(f"the Coulomb ({n}, {l}) level overflows double precision")
+    return level
 
 
 def hydrogen_radial(n: int, l: int, z) -> float:

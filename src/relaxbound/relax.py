@@ -20,7 +20,9 @@ than required to come first.
 The linear system S*delta = -E is block tridiagonal.  It is solved
 stage by stage and back-substituted, never materialising the dense
 matrix, by one elimination generated per layout: straight-line Python
-whose interior stage is the body of one loop over the sweep's blocks.
+whose interior stage is the body of one loop over the sweep's blocks
+and packs its reduced relations as one float64 record into a store
+sized once per elimination, as solvde keeps them in c for bksub.
 relax_batch runs one Newton loop over B grids (relax is B = 1), as a
 scan relaxes a window of guesses: each sweep assembles a few grids'
 whole sweeps at a time and eliminates each grid alone, so each grid
@@ -99,10 +101,10 @@ def _compile(name: str, lines: list[str], **names):
 class _Layout:
     """Index plan and generated elimination for N unknowns with `left` pinned.
 
-    Every stage leaves, per unknown it solves for, a relation
+    Every stage leaves, per sub column in order, a relation
     delta = p[-1] - sum(p[j]*delta_t_j) over the trailing unknowns t_j
-    of the stage's rightmost point (the carry columns of its pivot row);
-    the relations for the pinned unknowns of that point come last.
+    of the stage's rightmost point (the carry columns of its pivot row),
+    so the relations for the pinned unknowns of that point come last.
 
     A stage eliminates its square sub-block Gauss-Jordan style by this
     pivot rule: each row's scale is 1/max|entry| over its sub columns,
@@ -115,14 +117,17 @@ class _Layout:
     only.  eliminate(sweep, m), generated once per layout, runs the
     interior stage as the body of one loop over the flat tuples
     struct.iter_unpack reads from the C-contiguous sweep, counting k.
-    The boundary stages, rel = stage(block, rel, k), and back (the
-    relations in reverse, the point's trailing unknowns in locals) run
-    once per solve and compile apart: compile memory grows with source.
+    A stage ends with sub column j's relation in its carry row j (see
+    _stage); an interior stage packs those rows, N x (len(trail)+1)
+    floats, as one record into a bytearray sized once per elimination
+    and filled from the end, which back reads in order with iter_unpack.
+    The boundary stages, rel = stage(block, rel, k) on flat tuples, and
+    back run once per solve, compiled apart: compile memory grows with source.
     """
 
     def __init__(self, n: int, left: tuple[int, ...]):
         lead, trail = _split(n, left)
-        nl = len(lead)
+        nl, w = len(lead), len(trail) + 1       # a relation's width, RHS last
         self.n, self.lead, self.trail = n, lead, trail
         pinned, trailing = [n + a for a in lead], [n + t for t in trail]
         # per kind of stage (left boundary, interior, right boundary): the
@@ -133,51 +138,62 @@ class _Layout:
                  (range(n - nl), trailing, [2 * n], n)]
         (t0, first), (t1, inner), (t2, right) = (self._stage(*kind) for kind in kinds)
 
-        def stage(target, body):
-            return _compile("stage", ["def stage(block, rel, k):", f" {target} = block",
-                                      *(f" {line}" for line in body), " return rel"])
+        def flat(p, rows, width=w):     # rows' relations as names, row by row
+            return ", ".join(f"{p}{i}_{j}" for i in rows for j in range(width))
 
-        def value(p):
-            return f"{p}[-1]" + "".join(f" - {p}[{j}] * x{t}"
-                                        for j, t in enumerate(trail))
-        x = ", ".join(f"x{t}" for t in trail)
+        def stage(target, body, r, width, rel=""):
+            return _compile("stage", ["def stage(block, rel, k):", f" {target} = block",
+                                      *([f" {rel}, = rel"] if rel else []),
+                                      *(f" {line}" for line in body),
+                                      f" return {flat('c', range(r), width)},"])
+
+        def value(p, i):
+            return f"{p}{i}_{w - 1}" + "".join(f" - {p}{i}_{j} * x{t}"
+                                               for j, t in enumerate(trail))
+        x, q = ", ".join(f"x{t}" for t in trail), flat("q", range(nl))
+        record = struct.Struct(f"{n * w}d")     # one interior stage's relations
         back = _compile("back", [
-            "def back(rels, rel0, last, m):",
+            "def back(recs, rel0, last, m):",
             f" {', '.join(f'd{v}' for v in range(n))}, = dy = [[0.0] * m for _ in range({n})]",
-            f" {x}, = {', '.join(f'last[{j}][-1]' for j in range(len(trail)))},",
-            f" for idx, ({', '.join(f'p{j}' for j in range(n))}) in"
-            " zip(range(m - 1, 0, -1), reversed(rels)):",
+            f" {x}, = last",
+            f" for idx, ({flat('p', range(n))}) in"
+            f" zip(range(m - 1, 0, -1), unpack(recs)):",
             *(f"  d{t}[idx] = x{t}" for t in trail),
-            *(f"  d{a}[idx] = {value(f'p{len(trail) + i}')}" for i, a in enumerate(lead)),
-            f"  {x}, = {', '.join(value(f'p{j}') for j in range(len(trail)))},",
+            *(f"  d{a}[idx] = {value('p', len(trail) + i)}" for i, a in enumerate(lead)),
+            f"  {x}, = {', '.join(value('p', j) for j in range(len(trail)))},",
             *(f" d{t}[0] = x{t}" for t in trail),
-            *(f" d{a}[0] = {value(f'rel0[{i}]')}" for i, a in enumerate(lead)),
-            " return dy"])
+            f" {q}, = rel0",
+            *(f" d{a}[0] = {value('q', i)}" for i, a in enumerate(lead)),
+            " return dy"], unpack=record.iter_unpack)
         self.eliminate = _compile("eliminate", [
             "def eliminate(sweep, m):",
             f" blocks = iter_unpack('{n * (2 * n + 1)}d', sweep)",
-            " rel0 = rel = first(next(blocks), None, 1)",
-            " rels, k = [], 1",
+            f" {q}, = rel0 = first(next(blocks), None, 1)",
+            f" recs, k = bytearray({record.size} * (m - 1)), 1",
             f" for {t1} in islice(blocks, m - 1):",
             "  k += 1",
             *(f"  {line}" for line in inner),
-            "  rels.append(rel)",
-            " return back(rels, rel0, right(next(blocks), rel, m + 1), m)"],
+            f"  pack_into(recs, (m - k) * {record.size}, {flat('c', range(n))})",
+            f"  {q} = {flat('c', range(n - nl, n))}",
+            f" return back(recs, rel0, right(next(blocks), ({q},), m + 1), m)"],
             iter_unpack=struct.iter_unpack, islice=itertools.islice,
-            first=stage(t0, first), right=stage(t2, right), back=back)
+            pack_into=record.pack_into,
+            first=stage(t0, first, nl, w), right=stage(t2, right, n - nl, 1, q), back=back)
 
     def _stage(self, rows: range, sub: list[int], carry: list[int], offset):
         """(target, body): the source of one kind of stage, to be indented.
 
         target unpacks a block's flat tuple into row i's a{i}_{j} (sub),
         c{i}_{j} (carry) and f{i}_{j} (the previous point's pinned
-        columns).  body negates the RHS, substitutes the last n_left
-        relations of rel (unless offset is None), eliminates by the pivot
-        rule, raising SingularBlockError(k) where that fails, and leaves
-        each sub column's relation in rel, in sub order.  A step rotates
-        its pivot row and column to position `step`, so the searches stay
-        first-largest and the source grows as r**3, not r! (324 lines for
-        the N = 4 interior body, not 2,075).  |x| is written
+        columns).  body negates the RHS, substitutes the previous stage's
+        pinned relations q{i}_{j} (unless offset is None), eliminates by
+        the pivot rule, raising SingularBlockError(k) where that fails,
+        and leaves sub column j's relation in row j's carry locals.  A
+        step rotates its pivot row and column to position `step`, so the
+        searches stay first-largest, and keeps its pivot column in
+        pc{step}; the body ends by undoing the column rotations on the
+        carry rows, last step first.  So the source grows as r**3, not r!
+        (337 lines for the N = 4 interior body).  |x| is written
         x if x >= 0.0 else -x: it compares as abs(x) does, NaN included.
         """
         n, lead, trail, r, w = self.n, self.lead, self.trail, len(sub), len(carry)
@@ -186,8 +202,8 @@ class _Layout:
         names.update({col + offset: f"f{{}}_{j}" for j, col in enumerate(lead)
                       if offset is not None})
 
-        def rotate(group):              # the last to the front, the rest in order
-            return f" {', '.join(group)} = {', '.join(group[-1:] + group[:-1])}"
+        def rotate(group, by=-1):       # the last to the front (by=1: the first to the end)
+            return f" {', '.join(group)} = {', '.join(group[by:] + group[:by])}"
 
         def search(i, step):            # row i's offer: its first largest |entry|, scaled
             # the first step's search also takes the row's scale: starting
@@ -206,33 +222,31 @@ class _Layout:
         def live(i, step):              # row i's entries still read from step on
             return [f"a{i}_{j}" for j in range(step, r)] + [f"c{i}_{j}" for j in range(w)]
 
+        def branches(test, step, group):    # one rotation of group(p) per pcol or prow p
+            return [line for p in range(step + 1, r) for line in (
+                f"{'el' if p > step + 1 else ''}if {test} == {p}:", *group(p))]
+
         rhs = [f"c{i}_{w - 1}" for i in range(r)]
         target = ", ".join(names.get(col, "_").format(rows.index(row)) if row in rows
                            else "_" for row in range(n) for col in range(2 * n + 1))
         lines = [f"{x} = -{x}" for x in rhs]
         for i in range(len(lead) if offset is not None else 0):
-            q = [f"q{i}_{j}" for j in range(len(trail) + 1)]
-            lines.append(f"{', '.join(q)} = rel[{i - len(lead)}]")
             for row in range(r):
                 lines += [f"if f{row}_{i} != 0.0:",
-                          *(f" {names[offset + u].format(row)} -= f{row}_{i} * {q[j]}"
+                          *(f" {names[offset + u].format(row)} -= f{row}_{i} * q{i}_{j}"
                             for j, u in enumerate(trail)),
-                          f" {rhs[row]} -= f{row}_{i} * {q[-1]}"]
-        lines.append(f"{', '.join(f'o{j}' for j in range(r))}, = {tuple(range(r))}")
+                          f" {rhs[row]} -= f{row}_{i} * q{i}_{len(trail)}"]
         for step in range(r):
             lines += ["best = 0.0", "prow = -1",
                       *(line for i in range(step, r) for line in search(i, step)),
                       "if prow < 0: raise SingularBlockError(k)"]
-            for p in range(step + 1, r):
-                lines += [f"{'el' if p > step + 1 else ''}if prow == {p}:",
-                          *map(rotate, zip(*(live(i, step) for i in range(step, p + 1)))),
-                          f" {', '.join(f's{i}' for i in range(step + 1, p + 1))}"
-                          f" = {', '.join(f's{i}' for i in range(step, p))}"]
-            for p in range(step + 1, r):
-                lines += [f"{'el' if p > step + 1 else ''}if pcol == {p}:",
-                          *(rotate([f"a{i}_{j}" for j in range(step, p + 1)])
-                            for i in range(r)),
-                          rotate([f"o{j}" for j in range(step, p + 1)])]
+            lines += branches("prow", step, lambda p: [
+                *map(rotate, zip(*(live(i, step) for i in range(step, p + 1)))),
+                f" {', '.join(f's{i}' for i in range(step + 1, p + 1))}"
+                f" = {', '.join(f's{i}' for i in range(step, p))}"])
+            lines += branches("pcol", step, lambda p: [
+                rotate([f"a{i}_{j}" for j in range(step, p + 1)]) for i in range(r)])
+            lines += [f"pc{step} = pcol"] if step < r - 1 else []
             piv = live(step, step + 1)
             lines += [f"inv = 1.0 / a{step}_{step}", *(f"{x} *= inv" for x in piv)]
             for i in range(r):
@@ -240,9 +254,10 @@ class _Layout:
                     lines += [f"if a{i}_{step} != 0.0:",
                               *(f" {x} -= a{i}_{step} * {y}"
                                 for x, y in zip(live(i, step + 1), piv))]
-        return target, [*lines, f"rel = [None] * {r}",
-                        *(f"rel[o{i}] = {', '.join(f'c{i}_{j}' for j in range(w))},"
-                          for i in range(r))]
+        for step in reversed(range(r - 1)):
+            lines += branches(f"pc{step}", step, lambda p: [
+                rotate([f"c{i}_{j}" for i in range(step, p + 1)], 1) for j in range(w)])
+        return target, lines
 
 
 _layout = functools.cache(_Layout)     # one per layout, built at its first solve

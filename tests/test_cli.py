@@ -278,6 +278,15 @@ def test_oracle_writes_every_coulomb_curve(tmp_path, capsys):
     assert len(path.read_text().splitlines()) == 101
 
 
+def test_oracle_refuses_a_level_that_overflows_as_exit_two(capsys):
+    # a0 = 1e-200 is a valid Bohr radius, but the level -e^2/(2*a0) is not finite
+    rc = cli.main(["oracle", "--mu", "1e-100", "--lambda", "1e300"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "overflows" in captured.err
+
+
 def test_oracle_spinning_linear_state_exits_two(capsys):
     # l = 1, and n = 11 past the tabulated Airy zeros: no closed form
     for state in (["--l", "1"], ["--n", "11"]):

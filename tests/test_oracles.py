@@ -47,6 +47,15 @@ def test_hydrogen_energy_rejects_bad_quantum_numbers(n, l):
         hydrogen_energy(n, l)
 
 
+@pytest.mark.parametrize("n, l", [(1, 0), (3, 2)])
+def test_hydrogen_energy_refuses_a_level_double_precision_cannot_hold(n, l):
+    # a0 = 1/(mu*e^2) = 1e-200 passes the spec's check, but
+    # -e^2/(2*a0*N^2) = -1e500/N^2 overflows
+    spec = ProblemSpec.coulomb(n, l, mu=1e-100, coupling=1e300)
+    with pytest.raises(ValueError, match="overflows"):
+        hydrogen_energy(n, l, spec)
+
+
 # --------------------------------------------------------- radial forms --
 
 

@@ -186,6 +186,33 @@ def test_every_input_form_gives_the_same_bits(builder, n_vars, mesh101, rng):
         assert solve_block_system(form, build.left).tobytes() == want
 
 
+@pytest.mark.parametrize("m", [2, 3, 9, 40])
+@pytest.mark.parametrize("n, left", [(2, (0,)), (3, (2,)), (3, (0, 1)), (4, (1,)),
+                                     (4, (0, 1, 2)), (4, (3, 0)), (5, (1, 3)), (6, (0, 5))])
+def test_every_layout_matches_the_plain_loop_reference_exactly(n, left, m, rng):
+    # stages of r = 2..6 unknowns with 1-3 pinned: each stage's relations
+    # must come back in sub-column order, whatever columns it pivoted on
+    for _ in range(5):
+        s = rng.normal(size=(m + 1, n, 2 * n + 1))
+        fast = solve_block_system(s, left)
+        assert fast.tobytes() == reference_elimination(s, left).tobytes()
+
+
+def test_elimination_stores_little_per_mesh_point(rng):
+    # per point, only the 72 B relation record and the corrections
+    # (N lists of floats, then the returned array) may be stored
+    m = 1001
+    s = rng.normal(size=(m + 1, 3, 7))
+    solve_block_system(s)               # builds the layout outside the trace
+    tracemalloc.start()
+    try:
+        solve_block_system(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * m
+
+
 # ---------------------------------------------------------- pivot paths --
 
 
