@@ -20,9 +20,9 @@ than required to come first.
 The linear system S*delta = -E is block tridiagonal.  It is solved
 stage by stage and back-substituted, never materialising the dense
 matrix, by one elimination generated per layout: straight-line Python
-whose interior stage is the body of one loop over the sweep's blocks
-and packs its reduced relations as one float64 record into a store
-sized once per elimination, as solvde keeps them in c for bksub.
+whose interior stage loops over the sweep's blocks, packing float64
+relation records into one store as solvde fills c; its back-substitution
+writes the corrections straight into a fresh float64 array, as bksub fills y.
 relax_batch runs one Newton loop over B grids (relax is B = 1), as a
 scan relaxes a window of guesses: each sweep assembles a few grids'
 whole sweeps at a time and eliminates each grid alone, so each grid
@@ -117,12 +117,12 @@ class _Layout:
     only.  eliminate(sweep, m), generated once per layout, runs the
     interior stage as the body of one loop over the flat tuples
     struct.iter_unpack reads from the C-contiguous sweep, counting k.
-    A stage ends with sub column j's relation in its carry row j (see
-    _stage); an interior stage packs those rows, N x (len(trail)+1)
-    floats, as one record into a bytearray sized once per elimination
-    and filled from the end, which back reads in order with iter_unpack.
-    The boundary stages, rel = stage(block, rel, k) on flat tuples, and
-    back run once per solve, compiled apart: compile memory grows with source.
+    Each interior stage packs its carry rows (row j holds sub column j's
+    relation), N x (len(trail)+1) floats, as one record into a bytearray
+    filled from the end; back reads them in order and stores unknown v's
+    corrections in d{v}, slice [v*M:(v+1)*M] of a flat memoryview of the
+    fresh (N, M) float64 array it returns.  The boundary stages and back
+    run once per solve, compiled apart: compile memory grows with source.
     """
 
     def __init__(self, n: int, left: tuple[int, ...]):
@@ -154,7 +154,9 @@ class _Layout:
         record = struct.Struct(f"{n * w}d")     # one interior stage's relations
         back = _compile("back", [
             "def back(recs, rel0, last, m):",
-            f" {', '.join(f'd{v}' for v in range(n))}, = dy = [[0.0] * m for _ in range({n})]",
+            f" dy = memoryview(out := empty(({n}, m))).cast('B').cast('d')",
+            f" {', '.join(f'd{v}' for v in range(n))}, ="
+            f" {', '.join(f'dy[{v} * m:{v + 1} * m]' for v in range(n))},",
             f" {x}, = last",
             f" for idx, ({flat('p', range(n))}) in"
             f" zip(range(m - 1, 0, -1), unpack(recs)):",
@@ -164,7 +166,7 @@ class _Layout:
             *(f" d{t}[0] = x{t}" for t in trail),
             f" {q}, = rel0",
             *(f" d{a}[0] = {value('q', i)}" for i, a in enumerate(lead)),
-            " return dy"], unpack=record.iter_unpack)
+            " return out"], unpack=record.iter_unpack, empty=np.empty)
         self.eliminate = _compile("eliminate", [
             "def eliminate(sweep, m):",
             f" blocks = iter_unpack('{n * (2 * n + 1)}d', sweep)",
@@ -269,14 +271,14 @@ def solve_block_system(blocks, left=LEFT) -> np.ndarray:
     blocks is an (M+1, N, 2N+1) array, or a sequence of M+1 blocks,
     ordered left boundary, M-1 interior couplings, right boundary; left
     names the unknowns the left boundary rows determine.  Returns the
-    N x M correction array.  Raises SingularBlockError (with the 1-based
-    block index) when a stage cannot determine its variables.
+    corrections as a fresh (N, M) float64 array per call.  A stage
+    that cannot determine its variables raises SingularBlockError.
     """
     s = _stack(blocks)
     m = s.shape[0] - 1
     if m < 2:
         raise ValueError("need a boundary block at each end and at least one interior block")
-    return np.array(_layout(s.shape[1], tuple(left)).eliminate(s, m))
+    return _layout(s.shape[1], tuple(left)).eliminate(s, m)
 
 
 GROUP_BLOCKS = 1024     # blocks per assembly: amortises numpy's call cost; 0.3 MB at N = 4

@@ -181,9 +181,16 @@ def test_every_input_form_gives_the_same_bits(builder, n_vars, mesh101, rng):
     wide[..., 1:-2] = s
     forms = [wide[..., 1:-2], np.asfortranarray(s), [DifferenceBlock(b) for b in s]]
     assert not (forms[0].flags.c_contiguous or forms[1].flags.c_contiguous)
-    want = solve_block_system(s, build.left).tobytes()
+    want = solve_block_system(s, build.left)
     for form in forms:
-        assert solve_block_system(form, build.left).tobytes() == want
+        got = solve_block_system(form, build.left)
+        assert got.tobytes() == want.tobytes()
+        # a fresh float64 (N, M) array per call: _corrections keeps each
+        # grid's, so two calls must never share a buffer
+        assert got.dtype == np.float64 and got.shape == (n_vars, mesh101.m)
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, want)
+        want = got
 
 
 @pytest.mark.parametrize("m", [2, 3, 9, 40])
@@ -199,18 +206,20 @@ def test_every_layout_matches_the_plain_loop_reference_exactly(n, left, m, rng):
 
 
 def test_elimination_stores_little_per_mesh_point(rng):
-    # per point, only the 72 B relation record and the corrections
-    # (N lists of floats, then the returned array) may be stored
+    # per point, only the relation record (72 B at N = 3, 96 B at N = 4)
+    # and the corrections (8 B per unknown, written straight into the
+    # returned float64 array) may be stored
     m = 1001
-    s = rng.normal(size=(m + 1, 3, 7))
-    solve_block_system(s)               # builds the layout outside the trace
-    tracemalloc.start()
-    try:
-        solve_block_system(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 200 * m
+    for n, left, per_point in [(3, (0,), 110), (4, (0, 3), 150)]:
+        s = rng.normal(size=(m + 1, n, 2 * n + 1))
+        solve_block_system(s, left)     # builds the layout outside the trace
+        tracemalloc.start()
+        try:
+            solve_block_system(s, left)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_point * m, (n, left, peak / m)
 
 
 # ---------------------------------------------------------- pivot paths --
