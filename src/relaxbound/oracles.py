@@ -3,14 +3,14 @@
 Hydrogen levels and radial functions, for every (n, l), come straight
 from the Coulomb bound-state formulas.  The linear potential reduces to
 the Airy equation, so its S-wave spectrum is built on the negative zeros
-of Ai(x); the evaluator below is self-contained (power series inside
-|x| <= 8, asymptotic expansions out to |x| <= 20).
+of Ai(x), tabulated below as constants (DLMF 9.9), so checking Ai at
+them tests the evaluator.  The evaluator is self-contained (power series
+inside |x| <= 8, asymptotic expansions out to |x| <= 20).
 """
 
 from __future__ import annotations
 
 import math
-from functools import cache
 
 import numpy as np
 
@@ -20,7 +20,14 @@ _AI_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)        # Ai(0)
 _AIP_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)    # Ai'(0)
 _SERIES_LIMIT = 8.0
 _DOMAIN_LIMIT = 20.0
-MAX_AIRY_ZEROS = 10
+# a_1..a_10, the zeros of Ai by increasing |x| (DLMF 9.9), correctly rounded
+_AIRY_ZEROS = np.array([
+    -2.338107410459767, -4.08794944413097, -5.520559828095551,
+    -6.786708090071759, -7.944133587120853, -9.02265085334098,
+    -10.040174341558085, -11.008524303733262, -11.936015563236262,
+    -12.828776752865757])
+_AIRY_ZEROS.setflags(write=False)
+MAX_AIRY_ZEROS = len(_AIRY_ZEROS)
 
 
 def hydrogen_energy(n: int, l: int, spec: ProblemSpec | None = None) -> float:
@@ -121,51 +128,11 @@ def airy_ai(x: float) -> float:
     return _ai_asymptotic(x)
 
 
-def _bisect_zero(lo: float, hi: float) -> float:
-    """Bisect airy_ai on [lo, hi]; signs at the ends must differ."""
-    flo = airy_ai(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-15 * max(1.0, abs(mid)):
-            return mid
-        fmid = airy_ai(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) == (fmid < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-@cache
-def _airy_zeros() -> np.ndarray:
-    """The MAX_AIRY_ZEROS zeros of Ai nearest 0 by sign scan + bisection, read-only."""
-    zeros = []
-    step = 0.05
-    x_hi = -1.0                       # Ai > 0 on (-2.34, 0]
-    f_hi = airy_ai(x_hi)
-    x = x_hi
-    while len(zeros) < MAX_AIRY_ZEROS:
-        x -= step
-        if x < -13.5:                 # ten zeros all sit above -13
-            raise RuntimeError("zero scan ran past the expected range")
-        f = airy_ai(x)
-        if (f < 0.0) != (f_hi < 0.0):
-            zeros.append(_bisect_zero(x, x + step))
-        x_hi, f_hi = x, f
-    z = np.array(zeros)
-    if np.any(z >= 0.0) or np.any(np.diff(z) >= 0.0):
-        raise RuntimeError("zeros must be negative and strictly decreasing")
-    z.setflags(write=False)
-    return z
-
-
 def airy_zero_table(count: int = MAX_AIRY_ZEROS) -> np.ndarray:
     """First `count` negative zeros of Ai by increasing |x|, read-only."""
     if not _is_count(count) or not 1 <= count <= MAX_AIRY_ZEROS:
         raise ValueError(f"count must be an integer in 1..{MAX_AIRY_ZEROS}")
-    return _airy_zeros()[:count]
+    return _AIRY_ZEROS[:count]
 
 
 def airy_zero(order: int) -> float:

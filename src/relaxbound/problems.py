@@ -94,6 +94,7 @@ class BlockBuilder:
             raise ValueError(f"{spec.kind.value} blocks overflow on {mesh.m} points: "
                              f"h*mu*a0^2*(1+|V|)/(1-x)^4 is not finite")
 
+    @np.errstate(over="ignore", invalid="ignore")
     def assemble_batch(self, y: np.ndarray) -> np.ndarray:
         """The (B, M+1, N, 2N+1) sweeps at each grid of the stacked
         (B, N, M) array y, M the mesh's point count.  Every entry is

@@ -71,17 +71,10 @@ class ScanSelectionError(RuntimeError):
 def _select(entries) -> int:
     """Smallest roughness among converged entries; ties prefer the
     smaller |e_guess|, then the earlier entry."""
-    best = -1
-    key = None
-    for i, e in enumerate(entries):
-        if not e.converged:
-            continue
-        k = (e.roughness, abs(e.e_guess))
-        if best < 0 or k < key:
-            best, key = i, k
-    if best < 0:
+    converged = [i for i, e in enumerate(entries) if e.converged]
+    if not converged:
         raise ScanSelectionError(tuple(entries))
-    return best
+    return min(converged, key=lambda i: (entries[i].roughness, abs(entries[i].e_guess)))
 
 
 def scan(spec: ProblemSpec, mesh: Mesh, config: RelaxConfig | None,
@@ -103,8 +96,8 @@ def scan(spec: ProblemSpec, mesh: Mesh, config: RelaxConfig | None,
     selected state.  All guesses relax together in one relax_batch
     call; each entry is exactly what relaxing its guess alone would give.
     """
-    if not e_min < e_max:
-        raise ValueError("need e_min < e_max")
+    if not (e_min < e_max and math.isfinite(e_max - e_min)):
+        raise ValueError("need finite e_min < e_max")
     if not _is_count(steps) or steps < 2:
         raise ValueError("need an integer count of at least two scan steps")
     build = (normalized_builder(mesh, spec) if is_normalized(formulation)

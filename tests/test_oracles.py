@@ -2,7 +2,8 @@
 
 The Airy evaluator is the one piece of real numerics here, so it gets
 an independent cross-check against scipy.special.airy on top of the
-frozen-value and self-consistency tests.
+frozen-value and self-consistency tests; the tabulated zeros are
+checked against scipy.special.ai_zeros.
 """
 
 import math
@@ -203,6 +204,12 @@ def test_airy_zero_table_shape():
     assert table[0] == airy_zero(1)
     assert len(airy_zero_table()) == MAX_AIRY_ZEROS
     assert table.tobytes() == airy_zero_table()[:4].tobytes()
+
+
+def test_airy_zero_table_matches_scipy():
+    # scipy finds its zeros independently; its own a_5 is 1.0e-12 off
+    expect = scipy.special.ai_zeros(MAX_AIRY_ZEROS)[0]
+    np.testing.assert_allclose(airy_zero_table(), expect, rtol=2e-12, atol=0.0)
 
 
 def test_airy_zero_table_is_read_only():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from relaxbound import (Mesh, Potential, ProblemSpec, RelaxConfig,
-                        block_builder, default_config, initial_guess,
-                        level_guess, normalized_builder, relax, solve_bound_state)
+                        SingularBlockError, block_builder, default_config,
+                        initial_guess, level_guess, normalized_builder, relax,
+                        solve_bound_state)
 import relaxbound.problems as problems
 from conftest import assert_blocks_match_fd, reference_blocks, smooth_grid
 
@@ -275,6 +276,16 @@ def test_builders_refuse_a_spec_whose_blocks_overflow(build, m):
     # a0 = 1/(mu*e^2) = 1.4e302 is finite, but mu*a0^2 = 1.9e304 overflows E2
     with pytest.raises(ValueError, match="overflow"):
         build(Mesh.uniform(m), ProblemSpec.coulomb(1, 0, mu=1e-300))
+
+
+@pytest.mark.parametrize("formulation", ["original", "normalized"])
+@pytest.mark.parametrize("guess", [1e308, -1e308])
+def test_a_guess_that_overflows_assembly_is_a_singular_block(formulation, guess):
+    # midpoint averages of a start this large overflow to inf: the
+    # elimination refuses the block, and assembly warns of nothing
+    with pytest.raises(SingularBlockError):
+        solve_bound_state(ProblemSpec.linear(1, 0), Mesh.uniform(11), guess,
+                          formulation=formulation)
 
 
 @pytest.mark.parametrize("m", [101, 10001])

@@ -96,6 +96,10 @@ def test_scan_rejects_a_bad_window(mesh101):
         scan(spec, mesh101, None, 6.0, 5.0, 5)
     with pytest.raises(ValueError):
         scan(spec, mesh101, None, 5.0, 6.0, 1)
+    # an infinite end, or a width past double range, leaves no finite guesses
+    for e_min, e_max in [(5.0, math.inf), (-math.inf, 5.0), (-1e308, 1e308)]:
+        with pytest.raises(ValueError, match="finite"):
+            scan(spec, mesh101, None, e_min, e_max, 3)
 
 
 @pytest.mark.parametrize("steps", [5.0, True, np.float64(5.0)], ids=repr)
