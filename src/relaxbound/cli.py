@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -61,6 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="guesses per smoothness scan")
     for command in sub.choices.values():    # reports its own usage errors
         command.set_defaults(command_parser=command)
+        # a value, not an option: argparse's own test misses -1.36e1
+        command._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 

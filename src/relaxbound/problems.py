@@ -35,11 +35,12 @@ real eigenstate whose level converges as O(h^2) (the normalisation
 condition of sfroid, Numerical Recipes section 17.4).
 
 block_builder and normalized_builder bind mesh and spec into the
-problem relax takes.  Its assemble_batch(y) builds the whole Newton
-sweeps of a stack of grids as one (B, M+1, N, 2N+1) array, row k-1 of a
-sweep holding block k, and the engine calls it once per group of grids
-per sweep; assemble(grid) is its one-grid case, and calling the builder
-as (k, grid) returns the single DifferenceBlock k.
+problem relax takes.  Its assemble_batch(y, lo, hi) builds rows lo..hi-1
+(by default all M+1) of the Newton sweeps of a stack of grids, row k-1
+of a sweep holding block k: the engine asks for a group of grids' whole
+sweeps, or for a sweep longer than GROUP_BLOCKS one slab at a time.
+assemble(grid) is its one-grid case, and calling the builder as (k, grid)
+returns block k from the aligned slab of GROUP_BLOCKS rows that holds it.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import math
 import numpy as np
 
 from .grid import Mesh, Potential, ProblemSpec, RelaxConfig, SolutionGrid
-from .relax import DifferenceBlock, RelaxOutcome, relax
+from .relax import GROUP_BLOCKS, DifferenceBlock, RelaxOutcome, relax
 
 
 # V at the midpoints, -e^2/(a0*r) or lambda*r, with omx = 1 - xb
@@ -68,15 +69,15 @@ class BlockBuilder:
     every sweep would be non-finite.  assemble_batch(y) returns the whole
     sweeps at a stack of grids and assemble(grid) the sweep at one; both
     refuse a grid whose point count is not the mesh's.  Calling the
-    builder as (k, grid) returns block k of the last grid's sweep,
-    assembling and keeping the sweep whenever the grid changes.  left
-    names the unknowns the left boundary rows determine.
+    builder as (k, grid) returns block k of the grid's sweep from the one
+    slab it keeps, the aligned GROUP_BLOCKS rows that hold k, assembled
+    when grid or slab changes.  left names the unknowns the left rows pin.
     """
 
     def __init__(self, mesh: Mesh, spec: ProblemSpec, normalized: bool = False):
         self.mesh, self.spec, self.normalized = mesh, spec, normalized
         self.left = (0, 3) if normalized else (0,)
-        self._grid = self._blocks = None
+        self._grid = self._blocks = self._lo = None
         xbar = 0.5 * (mesh.x[:-1] + mesh.x[1:])
         omx = 1.0 - xbar
         with np.errstate(over="ignore", invalid="ignore"):
@@ -95,39 +96,42 @@ class BlockBuilder:
                              f"h*mu*a0^2*(1+|V|)/(1-x)^4 is not finite")
 
     @np.errstate(over="ignore", invalid="ignore")
-    def assemble_batch(self, y: np.ndarray) -> np.ndarray:
-        """The (B, M+1, N, 2N+1) sweeps at each grid of the stacked
-        (B, N, M) array y, M the mesh's point count.  Every entry is
-        elementwise, so a block's bits do not depend on its batch."""
-        if y.shape[-1] != self.mesh.m:
-            raise ValueError(f"grids of {y.shape[-1]} points on a mesh of {self.mesh.m}")
+    def assemble_batch(self, y: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Rows lo..hi-1 (hi at most M+1, the default) of the (B, M+1, N, 2N+1)
+        sweeps at each grid of the stacked (B, N, M) array y, M the mesh's
+        point count.  Entries are elementwise: a block's bits ignore its slab."""
+        m = self.mesh.m
+        if y.shape[-1] != m:
+            raise ValueError(f"grids of {y.shape[-1]} points on a mesh of {m}")
+        hi = m + 1 if hi is None else min(hi, m + 1)
         h, normalized = self.mesh.h, self.normalized
         n = 4 if normalized else 3
         c, rhs = n, 2 * n           # first column of point k; residual column
-        s = np.zeros((y.shape[0], self.mesh.m + 1, n, rhs + 1))
-        # y1 = 0 at x = 0; its rows are the block's last
-        s[:, 0, 2, c] = 1.0
-        s[:, 0, 2, rhs] = y[:, 0, 0]
-        if normalized:              # y4 = 0 at x = 0
-            s[:, 0, 3, c + 3] = 1.0
-            s[:, 0, 3, rhs] = y[:, 3, 0]
-        # y1 = 0 at x = 1
-        s[:, -1, 0, c] = 1.0
-        s[:, -1, 0, rhs] = y[:, 0, -1]
-        if normalized:              # y4 = 1 at x = 1
-            s[:, -1, 1, c + 3] = 1.0
-            s[:, -1, 1, rhs] = y[:, 3, -1] - 1.0
-        else:                       # y2 = 0 at x = 1
-            s[:, -1, 1, c + 1] = 1.0
-            s[:, -1, 1, rhs] = y[:, 1, -1]
+        s = np.zeros((y.shape[0], hi - lo, n, rhs + 1))
+        if lo == 0:                 # y1 = 0 at x = 0; its rows are the block's last
+            s[:, 0, 2, c] = 1.0
+            s[:, 0, 2, rhs] = y[:, 0, 0]
+            if normalized:          # y4 = 0 at x = 0
+                s[:, 0, 3, c + 3] = 1.0
+                s[:, 0, 3, rhs] = y[:, 3, 0]
+        if hi == m + 1:             # y1 = 0 at x = 1
+            s[:, -1, 0, c] = 1.0
+            s[:, -1, 0, rhs] = y[:, 0, -1]
+            if normalized:          # y4 = 1 at x = 1
+                s[:, -1, 1, c + 3] = 1.0
+                s[:, -1, 1, rhs] = y[:, 3, -1] - 1.0
+            else:                   # y2 = 0 at x = 1
+                s[:, -1, 1, c + 1] = 1.0
+                s[:, -1, 1, rhs] = y[:, 1, -1]
 
-        yl, yr = y[:, :, :-1], y[:, :, 1:]
+        a, z = max(lo, 1) - 1, min(hi, m) - 1       # the slab's intervals a..z-1
+        yl, yr = y[:, :, a:z], y[:, :, a + 1:z + 1]
         y1b, y2b, y3b = (0.5 * (yl[:, :3] + yr[:, :3])).transpose(1, 0, 2)
         dy = (yr - yl).transpose(1, 0, 2)
-        omx4, drift, mass = self._omx4, self._drift, self._mass
-        bracket = 2.0 * mass * (y3b - self._v) - self._centrifugal
+        omx4, drift, mass = self._omx4[a:z], self._drift[a:z], self._mass
+        bracket = 2.0 * mass * (y3b - self._v[a:z]) - self._centrifugal[a:z]
 
-        mid = s[:, 1:-1]
+        mid = s[:, a + 1 - lo:z + 1 - lo]
         mid[:, :, 0, [0, 1, c, c + 1]] = -1.0, -0.5 * h, 1.0, -0.5 * h
         mid[:, :, 0, rhs] = dy[0] - h * y2b
         mid[:, :, 1, 0] = mid[:, :, 1, c] = 0.5 * h * bracket / omx4
@@ -150,10 +154,13 @@ class BlockBuilder:
     def __call__(self, k: int, grid: SolutionGrid) -> DifferenceBlock:
         if not 1 <= k <= self.mesh.m + 1:
             raise IndexError(f"block index k={k} outside 1..{self.mesh.m + 1}")
-        if grid is not self._grid:
-            self._grid, self._blocks = grid, self.assemble(grid)
+        lo = (k - 1) // GROUP_BLOCKS * GROUP_BLOCKS
+        if grid is not self._grid or lo != self._lo:
+            self._grid = self._blocks = None        # drop the old slab first
+            self._blocks = self.assemble_batch(grid.y[None], lo, lo + GROUP_BLOCKS)[0]
             self._blocks.setflags(write=False)   # blocks are views of it
-        return DifferenceBlock(self._blocks[k - 1])
+            self._grid, self._lo = grid, lo
+        return DifferenceBlock(self._blocks[k - 1 - lo])
 
 
 def block_builder(mesh: Mesh, spec: ProblemSpec) -> BlockBuilder:

@@ -24,9 +24,10 @@ whose interior stage loops over the sweep's blocks, packing float64
 relation records into one store as solvde fills c; its back-substitution
 writes the corrections straight into a fresh float64 array, as bksub fills y.
 relax_batch runs one Newton loop over B grids (relax is B = 1), as a
-scan relaxes a window of guesses: each sweep assembles a few grids'
-whole sweeps at a time and eliminates each grid alone, so each grid
-stops at the same sweep with the same bits as it would alone.
+scan relaxes a window of guesses, and eliminates each grid alone, so each
+grid stops at the same sweep with the same bits as it would alone.  Short
+sweeps are assembled a few grids at a time; a sweep longer than GROUP_BLOCKS
+streams into its elimination slab by slab, as solvde asks difeq for blocks.
 """
 
 from __future__ import annotations
@@ -114,9 +115,9 @@ class _Layout:
     (a NaN never wins; a step without a positive product is singular),
     and the pivot row, divided by the pivot, is subtracted f times from
     each other row with f != 0.0, over the open sub and carry columns
-    only.  eliminate(sweep, m), generated once per layout, runs the
-    interior stage as the body of one loop over the flat tuples
-    struct.iter_unpack reads from the C-contiguous sweep, counting k.
+    only.  eliminate(blocks, m), generated once per layout, runs the
+    interior stage as the body of one loop over blocks, the flat tuples
+    unpack(s) reads from a C-contiguous sweep (or slab after slab), counting k.
     Each interior stage packs its carry rows (row j holds sub column j's
     relation), N x (len(trail)+1) floats, as one record into a bytearray
     filled from the end; back reads them in order and stores unknown v's
@@ -167,9 +168,9 @@ class _Layout:
             f" {q}, = rel0",
             *(f" d{a}[0] = {value('q', i)}" for i, a in enumerate(lead)),
             " return out"], unpack=record.iter_unpack, empty=np.empty)
+        self.unpack = struct.Struct(f"{n * (2 * n + 1)}d").iter_unpack
         self.eliminate = _compile("eliminate", [
-            "def eliminate(sweep, m):",
-            f" blocks = iter_unpack('{n * (2 * n + 1)}d', sweep)",
+            "def eliminate(blocks, m):",
             f" {q}, = rel0 = first(next(blocks), None, 1)",
             f" recs, k = bytearray({record.size} * (m - 1)), 1",
             f" for {t1} in islice(blocks, m - 1):",
@@ -178,7 +179,7 @@ class _Layout:
             f"  pack_into(recs, (m - k) * {record.size}, {flat('c', range(n))})",
             f"  {q} = {flat('c', range(n - nl, n))}",
             f" return back(recs, rel0, right(next(blocks), ({q},), m + 1), m)"],
-            iter_unpack=struct.iter_unpack, islice=itertools.islice,
+            islice=itertools.islice,
             pack_into=record.pack_into,
             first=stage(t0, first, nl, w), right=stage(t2, right, n - nl, 1, q), back=back)
 
@@ -278,29 +279,37 @@ def solve_block_system(blocks, left=LEFT) -> np.ndarray:
     m = s.shape[0] - 1
     if m < 2:
         raise ValueError("need a boundary block at each end and at least one interior block")
-    return _layout(s.shape[1], tuple(left)).eliminate(s, m)
+    layout = _layout(s.shape[1], tuple(left))
+    return layout.eliminate(layout.unpack(s), m)
 
 
-GROUP_BLOCKS = 1024     # blocks per assembly: amortises numpy's call cost; 0.3 MB at N = 4
+GROUP_BLOCKS = 1024     # blocks alive at once: amortises numpy's call cost; 0.3 MB at N = 4
 
 
-def _sweeps(problem, y: np.ndarray) -> np.ndarray:
-    """The whole sweeps (B, M+1, N, 2N+1) at each grid of y (B, N, M).
-
-    From problem.assemble_batch(y) when present, else problem(k, grid)
-    for k = 1..M+1, one grid after another.
+def _sweeps(problem, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 (B, hi-lo, N, 2N+1) of the sweeps at each grid of y
+    (B, N, M): from problem.assemble_batch(y), or (y, lo, hi) for part of
+    a sweep, else problem(k, grid) for k = 1..M+1, grid by grid.
     """
     b, n, m = y.shape
     assemble_batch = getattr(problem, "assemble_batch", None)
     if assemble_batch is not None:
-        s = np.asarray(assemble_batch(y), dtype=float)
+        part = () if hi - lo == m + 1 else (lo, hi)
+        s = np.ascontiguousarray(assemble_batch(y, *part), dtype=float)
     else:
         s = np.stack([_stack([problem(k, grid) for k in range(1, m + 2)])
                       for grid in (SolutionGrid(g, n) for g in y)])
-    if s.shape != (b, m + 1, n, 2 * n + 1):
-        raise ValueError(f"sweeps of {b} grids must be {(b, m + 1, n, 2 * n + 1)}, "
+    if s.shape != (b, hi - lo, n, 2 * n + 1):
+        raise ValueError(f"sweeps of {b} grids must be {(b, hi - lo, n, 2 * n + 1)}, "
                          f"not {s.shape}")
     return s
+
+
+def _unsolved(s: np.ndarray, lo: int, m: int, t: int) -> np.ndarray:
+    """Per grid, whether rows lo.. of its sweep hold a meaningful residual
+    that is not exactly zero: in flat order, entries t..M*N+t-1."""
+    n = s.shape[2]
+    return s[..., -1].reshape(len(s), -1)[:, max(t - lo * n, 0):(m - lo) * n + t].any(axis=1)
 
 
 def _corrections(problem, y: np.ndarray, left: tuple[int, ...]):
@@ -314,19 +323,34 @@ def _corrections(problem, y: np.ndarray, left: tuple[int, ...]):
     be singular (on the all-zero trivial solution the energy column
     vanishes entirely).
 
-    The grids are assembled a group at a time, whole sweeps of about
-    GROUP_BLOCKS blocks in all, and each grid is then eliminated alone
-    by solve_block_system.
+    Sweeps of at most GROUP_BLOCKS blocks, and all of a problem without
+    assemble_batch, go whole to solve_block_system, about GROUP_BLOCKS blocks
+    of grids per assembly; longer ones stream in GROUP_BLOCKS rows at a time.
     """
     b, n, m = y.shape
     t = n - len(left)               # the right block's rows; the left block's start at t
+    dy, exact, singular = [], np.ones(b, dtype=bool), np.zeros(b, dtype=int)
+    if m + 1 > GROUP_BLOCKS and hasattr(problem, "assemble_batch"):
+        for i in range(b):
+            def slab(lo, i=i):
+                s = _sweeps(problem, y[i:i + 1], lo, min(lo + GROUP_BLOCKS, m + 1))
+                exact[i] &= ~_unsolved(s, lo, m, t)[0]
+                return _layout(n, left).unpack(s)
+            slabs = map(slab, range(0, m + 1, GROUP_BLOCKS))
+            try:
+                dy.append(_layout(n, left).eliminate(itertools.chain.from_iterable(slabs), m))
+            except SingularBlockError as exc:
+                singular[i] = exc.k
+                dy.append(np.zeros((n, m)))
+                for _ in slabs:     # assembled only to finish the exactness test
+                    pass
+            if exact[i]:
+                singular[i], dy[i] = 0, np.zeros((n, m))
+        return np.stack(dy), exact, singular
     group = max(1, GROUP_BLOCKS // (m + 1))
-    dy, exact, singular = [], np.zeros(b, dtype=bool), np.zeros(b, dtype=int)
     for lo in range(0, b, group):
-        s = _sweeps(problem, y[lo:lo + group])
-        e = s[..., -1]
-        exact[lo:lo + len(s)] = ~(e[:, 0, t:].any(axis=1) | e[:, 1:-1].any(axis=(1, 2))
-                                  | e[:, -1, :t].any(axis=1))
+        s = _sweeps(problem, y[lo:lo + group], 0, m + 1)
+        exact[lo:lo + len(s)] = ~_unsolved(s, 0, m, t)
         for i in range(lo, lo + len(s)):
             try:
                 dy.append(np.zeros((n, m)) if exact[i] else
@@ -334,7 +358,7 @@ def _corrections(problem, y: np.ndarray, left: tuple[int, ...]):
             except SingularBlockError as exc:
                 singular[i] = exc.k
                 dy.append(np.zeros((n, m)))
-        del s, e                    # release the group before the corrections stack
+        del s                       # release the group before the corrections stack
     return np.stack(dy), exact, singular
 
 
@@ -344,7 +368,8 @@ def relax(problem: Callable[[int, SolutionGrid], DifferenceBlock],
 
     problem.assemble_batch(y), when present, must return the whole
     sweeps (B, M+1, N, 2N+1) at each grid of the stacked (B, N, M) array
-    y.  Otherwise problem(k, grid) must return the difference block for
+    y, and assemble_batch(y, lo, hi) their rows lo..hi-1, asked only of
+    sweeps longer than GROUP_BLOCKS blocks.  Otherwise problem(k, grid) must return the difference block for
     k = 1..M+1; the engine requests blocks in that order exactly once
     per sweep.  N and M are the initial grid's shape; the mesh is the
     problem's own.  problem.left, when present, names the unknowns the

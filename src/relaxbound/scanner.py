@@ -122,8 +122,8 @@ def scan(spec: ProblemSpec, mesh: Mesh, config: RelaxConfig | None,
 def scan_diagnostics(report: ScanReport) -> dict:
     """Contrast between the best and typical converged roughness.
 
-    distinguishable means the minimum sits at or below half the median,
-    i.e. the smooth state visibly separates from the kinked ones.
+    distinguishable means the minimum sits at or below half a nonzero
+    median, i.e. the smooth state visibly separates from the kinked ones.
     """
     rough = sorted(e.roughness for e in report.entries if e.converged)
     if not rough:
@@ -133,7 +133,7 @@ def scan_diagnostics(report: ScanReport) -> dict:
     med = float(np.median(rough))
     ratio = lo / med if med > 0.0 else math.inf
     return {"min": lo, "median": med, "ratio": ratio,
-            "distinguishable": lo <= 0.5 * med}
+            "distinguishable": med > 0.0 and lo <= 0.5 * med}
 
 
 def compare_wavefunction(relaxed: SolutionGrid, exact: np.ndarray) -> float:

@@ -3,6 +3,7 @@ on them, each against the one-grid route it must reproduce bit for bit."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 from importlib import import_module
 
 import numpy as np
@@ -60,26 +61,31 @@ def test_scan_matches_the_guess_by_guess_reference(spec, e_min, e_max, steps,
 # --------------------------------------------------------- relax_batch --
 
 
-SINGULAR, POISONED, OVERFLOW = 5.5, 5.6, 5.7    # energies that mark members
+SINGULAR, POISONED, OVERFLOW, HIDDEN = 5.5, 5.6, 5.7, 5.8    # energies that mark members
 
 
 class Spoiled:
-    """block_builder with three members spoiled, told apart by energy.
+    """block_builder with four members spoiled, told apart by energy.
 
     SINGULAR gets an all-zero block k = 17, POISONED a NaN left-boundary
     residual (a non-finite err), and OVERFLOW a permutation system whose
     correction carries y[1, 0] = 1e308 past the largest float (a finite
-    err but a non-finite step).
+    err but a non-finite step).  HIDDEN gets an all-zero block k = 17 and
+    a NaN right-boundary residual.  assemble_batch(y, lo, hi) returns
+    rows lo..hi-1 of the spoiled sweeps and notes (lo, hi) in requests.
     """
 
     def __init__(self, build):
-        self.build, self.left = build, build.left
+        self.build, self.left, self.requests = build, build.left, []
 
-    def assemble_batch(self, y):
+    def assemble_batch(self, y, lo=0, hi=None):
+        self.requests.append((lo, hi))
         s = self.build.assemble_batch(y)
         for b, energy in enumerate(y[:, 2, 0]):
-            if energy == SINGULAR:
+            if energy in (SINGULAR, HIDDEN):
                 s[b, 16] = 0.0
+            if energy == HIDDEN:
+                s[b, -1, 0, 6] = math.nan
             elif energy == POISONED:
                 s[b, 0, 2, 6] = math.nan
             elif energy == OVERFLOW:         # delta = -residual, see test_relax
@@ -88,7 +94,7 @@ class Spoiled:
                 s[b, 1:-1, [0, 1, 2], [1, 2, 3]] = 1.0
                 s[b, -1, [0, 1], [4, 5]] = 1.0
                 s[b, 1, 0, 6] = -1e308
-        return s
+        return s[:, lo:hi]
 
     def assemble(self, grid):
         return self.assemble_batch(grid.y[None])[0]
@@ -138,6 +144,47 @@ def test_mixed_retirement_batch_matches_relax(mesh101):
     assert not by_energy[OVERFLOW].converged
     assert by_energy[6.0].converged and by_energy[6.0].final_err == 0.0
     assert len(sweeps) >= 4                     # members leave at different sweeps
+
+
+def test_long_sweeps_stream_slab_by_slab_with_the_same_bits(mesh101, monkeypatch):
+    # seven-block slabs: block k = 17 lies in the third; an exactly solved
+    # grid whose elimination fails there is still exactly solved, and one
+    # whose only residual sits in the last slab is still singular
+    monkeypatch.setattr(relax_mod, "GROUP_BLOCKS", 7)
+    spec, starts, configs = _mixed_members(mesh101)
+    for energy, zero in [(SINGULAR, True), (HIDDEN, True), (HIDDEN, False)]:
+        y = np.zeros((3, mesh101.m))
+        y[2] = energy
+        starts.append(SolutionGrid(y) if zero else initial_guess(spec, mesh101, energy))
+        configs.append(default_config(spec, energy))
+    problem = Spoiled(block_builder(mesh101, spec))
+    got = relax_batch(problem, starts, configs)
+    slabs = {(lo, min(lo + 7, mesh101.m + 1)) for lo in range(0, mesh101.m + 1, 7)}
+    assert set(problem.requests) == slabs
+    for out, start, cfg in zip(got, starts, configs):
+        if isinstance(out, SingularBlockError):
+            assert out.k == 17
+            for alone in (relax, reference_relax):
+                with pytest.raises(SingularBlockError) as info:
+                    alone(problem, start, cfg)
+                assert info.value.k == 17
+            continue
+        _assert_same_outcome(out, relax(problem, start, cfg))
+        _assert_same_outcome(out, reference_relax(problem, start, cfg))
+    exact = [out for out in got[-4:] if not isinstance(out, SingularBlockError)]
+    assert [(out.iterations, out.final_err, out.converged) for out in exact] == [
+        (1, 0.0, True)] * 2                     # the y = 0 grids, SINGULAR's too
+    assert sum(isinstance(out, SingularBlockError) for out in got) == 3
+
+
+@pytest.mark.parametrize("formulation", ["original", "normalized"])
+def test_a_streamed_scan_matches_the_guess_by_guess_reference(formulation, mesh101,
+                                                              monkeypatch):
+    monkeypatch.setattr(relax_mod, "GROUP_BLOCKS", 7)
+    spec = ProblemSpec.coulomb(1, 0)
+    got = scan(spec, mesh101, None, -14.1, -13.1, 9, formulation=formulation)
+    want = reference_scan(spec, mesh101, None, -14.1, -13.1, 9, formulation)
+    assert repr(got) == repr(want)
 
 
 class BoundaryOnly:
@@ -231,6 +278,22 @@ def test_batch_assembly_matches_one_grid_at_a_time(builder, n_vars, b, mesh101, 
         assert sweep.tobytes() == build.assemble(grid).tobytes()
 
 
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("builder, n_vars", [(block_builder, 3), (normalized_builder, 4)],
+                         ids=["original", "normalized"])
+def test_slabs_of_a_sweep_concatenate_to_the_whole_sweep(builder, n_vars, b,
+                                                         mesh101, rng):
+    build = builder(mesh101, ProblemSpec.linear(1, 2))
+    y = np.stack([smooth_grid(mesh101, rng, 10.0, n_vars).y for _ in range(b)])
+    whole = build.assemble_batch(y).tobytes()
+    m = mesh101.m
+    # slabs of row 0 alone, one interior row alone, row M alone, and wider ones
+    for cuts in ([0, 1, 2, 3, 40, m, m + 1], [0, 7, 14, 50, 51, m + 1],
+                 [0, m, m + 1], [0, 1, m + 1]):
+        slabs = [build.assemble_batch(y, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        assert np.concatenate(slabs, axis=1).tobytes() == whole, cuts
+
+
 # --------------------------------------------------------------- memory --
 
 
@@ -247,3 +310,40 @@ def test_scan_memory_stays_small(formulation, mesh101):
     finally:
         tracemalloc.stop()
     assert peak <= 2_000_000
+
+
+FINE_M = 10001          # a sweep of about ten GROUP_BLOCKS slabs
+BUILDERS = {"original": block_builder, "normalized": normalized_builder}
+
+
+@pytest.mark.parametrize("formulation, per_point", [("original", 180), ("normalized", 250)])
+def test_a_long_sweep_holds_one_slab_at_a_time(formulation, per_point):
+    # the whole sweep alone is 168 B per point at N = 3 and 288 B at N = 4
+    mesh, spec = Mesh.uniform(FINE_M), ProblemSpec.coulomb(1, 0)
+    build = BUILDERS[formulation](mesh, spec)
+    start = initial_guess(spec, mesh, -13.6, formulation)
+    cfg = replace(default_config(spec, -13.6, formulation), itmax=1)
+    relax(build, start, cfg)            # builds the layout outside the trace
+    tracemalloc.start()
+    try:
+        relax(build, start, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= per_point * FINE_M, peak / FINE_M
+
+
+@pytest.mark.parametrize("formulation", ["original", "normalized"])
+def test_a_block_by_block_pass_holds_one_slab_at_a_time(formulation):
+    mesh, spec = Mesh.uniform(FINE_M), ProblemSpec.coulomb(1, 0)
+    build = BUILDERS[formulation](mesh, spec)
+    build(1, initial_guess(spec, mesh, -13.6, formulation))     # an earlier grid's slab
+    grid = initial_guess(spec, mesh, -13.6, formulation)
+    tracemalloc.start()
+    try:
+        for k in range(1, FINE_M + 2):
+            build(k, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 60 * FINE_M, peak / FINE_M

@@ -140,6 +140,23 @@ def test_solve_rejects_an_underflowing_bohr_radius_as_exit_two(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_float_options_take_negative_numbers_in_exponent_form(capsys):
+    # argparse reads -1.36e1 as an option unless told it is a number
+    argv = ["solve", "--potential", "coulomb", "--mesh-points", "11", "--guess"]
+    assert cli.main(argv + ["-13.6"]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(argv + ["-1.36e1"]) == 0
+    assert capsys.readouterr().out == plain
+    rc = cli.main(["scan", "--emin", "-1.41e1", "--emax", "-1.31e1", "--steps", "3",
+                   "--mesh-points", "11"])
+    assert rc == 0
+    assert "scanned 3 guesses" in capsys.readouterr().out
+    for option in ("--lambda", "--mu"):     # reach the spec, which refuses them
+        assert cli.main(["oracle", option, "-1e0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "expected one argument" not in err
+
+
 # ------------------------------------------------------------------- scan --
 
 

@@ -223,9 +223,15 @@ def test_diagnostics_handle_an_all_failed_report():
 
 
 def test_diagnostics_handle_all_zero_roughness():
+    # with a zero median no entry separates from the others
     d = scan_diagnostics(_report_from_roughness([0.0, 0.0, 0.0]))
     assert d["ratio"] == math.inf
-    assert d["distinguishable"]         # 0 <= 0.5 * 0 holds
+    assert not d["distinguishable"]
+    d = scan_diagnostics(_report_from_roughness([1.0, 0.0, 0.0, 2.0, 0.0]))
+    assert d["median"] == 0.0 and d["ratio"] == math.inf
+    assert not d["distinguishable"]
+    d = scan_diagnostics(_report_from_roughness([0.0, 1.0, 2.0]))
+    assert d["ratio"] == 0.0 and d["distinguishable"]
 
 
 # ---------------------------------------------------- curve comparison --
