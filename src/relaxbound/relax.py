@@ -26,16 +26,24 @@ writes the corrections straight into a fresh float64 array, as bksub fills y.
 relax_batch runs one Newton loop over B grids (relax is B = 1), as a
 scan relaxes a window of guesses, and eliminates each grid alone, so each
 grid stops at the same sweep with the same bits as it would alone.  Short
-sweeps are assembled a few grids at a time; a sweep longer than GROUP_BLOCKS
-streams into its elimination slab by slab, as solvde asks difeq for blocks.
+sweeps are assembled a few grids at a time, and with two CPUs a helper
+process (_Helper), started at a process's second batch of two groups or
+more and killed at its exit, eliminates every other group; a sweep longer
+than GROUP_BLOCKS streams into its elimination slab by slab, as solvde
+asks difeq for blocks.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import functools
 import itertools
 import math
+import os
 import struct
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,6 +60,9 @@ class SingularBlockError(ArithmeticError):
     def __init__(self, k: int):
         self.k = k
         super().__init__(f"singular block at k={k}")
+
+    def __reduce__(self):           # pickle and copy rebuild from k, not the message
+        return type(self), (self.k,)
 
 
 @dataclass(frozen=True)
@@ -312,7 +323,94 @@ def _unsolved(s: np.ndarray, lo: int, m: int, t: int) -> np.ndarray:
     return s[..., -1].reshape(len(s), -1)[:, max(t - lo * n, 0):(m - lo) * n + t].any(axis=1)
 
 
-def _corrections(problem, y: np.ndarray, left: tuple[int, ...]):
+def _eliminate(s: np.ndarray, exact, left, dy: np.ndarray, singular: np.ndarray):
+    """Each sweep of s not exactly solved: its corrections into dy, else where it fails."""
+    for i, sweep in enumerate(s):
+        if not exact[i]:
+            try:
+                dy[i] = solve_block_system(sweep, left)
+            except SingularBlockError as exc:
+                singular[i] = exc.k
+
+
+class _Helper:
+    """The one helper process of a process: _serve answers each group's
+    header, exactly-solved mask and raw float64 sweeps on its stdin with
+    their singular blocks (int64) and corrections (float64) on its stdout.
+    Only the thread that started it uses it, so requests never interleave."""
+
+    proc = owner = None
+    ready = False
+
+    def __init__(self):
+        self.batches = itertools.count()
+
+    def batch(self):
+        """For a batch of two groups or more: this helper if it is ready and
+        this thread started it, else None.  It starts at the second batch."""
+        if len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2:
+            return None
+        if next(self.batches) == 1:
+            import subprocess
+            code = ("import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                    f"sys.path.insert(0, {os.path.dirname(os.path.dirname(__file__))!r}); "
+                    "from relaxbound.relax import _serve; _serve()")
+            with contextlib.suppress(OSError):      # no Popen, no helper
+                self.proc = subprocess.Popen([sys.executable, "-c", code],
+                                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+                self.owner = os.getpid(), threading.get_ident()
+                atexit.register(self.stop)
+        if self.proc is None or self.owner != (os.getpid(), threading.get_ident()):
+            return None
+        if not self.ready:
+            import select
+            if not select.select([self.proc.stdout], [], [], 0)[0]:
+                return None
+            self.ready = self.proc.stdout.read(1) == b"R"
+        if not self.ready or self.proc.poll() is not None:
+            self.stop()             # it died: run without it
+        return None if self.proc is None else self
+
+    def send(self, s: np.ndarray, exact: np.ndarray, left):
+        head = struct.pack(f"4q{len(left)}q", len(s), s.shape[1] - 1, s.shape[2], len(left), *left)
+        try:
+            self.proc.stdin.writelines([head, exact.tobytes(), s])
+            self.proc.stdin.flush()
+        except BrokenPipeError as exc:
+            raise RuntimeError("the elimination helper died") from exc
+
+    def receive(self, *out: np.ndarray):
+        for view in (memoryview(a).cast("B") for a in out):
+            if self.proc.stdout.readinto(view) != len(view):
+                raise RuntimeError("the elimination helper died")
+
+    def stop(self):
+        """Kill and reap the helper, unless another process started it."""
+        if self.proc is not None and self.owner[0] == os.getpid():
+            proc, self.proc = self.proc, None
+            with contextlib.suppress(BrokenPipeError), proc:    # closes the pipes, waits
+                proc.kill()
+
+
+_HELPER = _Helper()
+
+
+def _serve():
+    """The helper's loop: answer each request until its stdin closes."""
+    src, dst = sys.stdin.buffer, sys.stdout.buffer
+    dst.write(b"R")
+    dst.flush()
+    while head := src.read(32):
+        g, m, n, nl = struct.unpack("4q", head)
+        left, exact = struct.unpack(f"{nl}q", src.read(8 * nl)), src.read(g)
+        s = np.frombuffer(src.read(8 * g * (m + 1) * n * (2 * n + 1)))
+        dy, singular = np.zeros((g, n, m)), np.zeros(g, dtype=np.int64)
+        _eliminate(s.reshape(g, m + 1, n, -1), exact, left, dy, singular)
+        dst.writelines([singular, dy])
+        dst.flush()
+
+
+def _corrections(problem, y: np.ndarray, left: tuple[int, ...], helper=None):
     """Newton corrections of each grid in y (B, N, M).
 
     Returns (dy, exact, singular): exact marks grids whose meaningful
@@ -326,6 +424,10 @@ def _corrections(problem, y: np.ndarray, left: tuple[int, ...]):
     Sweeps of at most GROUP_BLOCKS blocks, and all of a problem without
     assemble_batch, go whole to solve_block_system, about GROUP_BLOCKS blocks
     of grids per assembly; longer ones stream in GROUP_BLOCKS rows at a time.
+    Given relax_batch's helper, groups go in pairs: the second is assembled
+    and sent to the helper, the first assembled and eliminated here, then
+    the helper's answer is read into dy.  If anything raises meanwhile, the
+    helper is dropped: a request or answer may be cut short.
     """
     b, n, m = y.shape
     t = n - len(left)               # the right block's rows; the left block's start at t
@@ -347,19 +449,28 @@ def _corrections(problem, y: np.ndarray, left: tuple[int, ...]):
             if exact[i]:
                 singular[i], dy[i] = 0, np.zeros((n, m))
         return np.stack(dy), exact, singular
-    group = max(1, GROUP_BLOCKS // (m + 1))
-    for lo in range(0, b, group):
+    dy, group = np.zeros((b, n, m)), max(1, GROUP_BLOCKS // (m + 1))
+    helper = helper if b > group else None
+
+    def assemble(lo):
         s = _sweeps(problem, y[lo:lo + group], 0, m + 1)
         exact[lo:lo + len(s)] = ~_unsolved(s, 0, m, t)
-        for i in range(lo, lo + len(s)):
-            try:
-                dy.append(np.zeros((n, m)) if exact[i] else
-                          solve_block_system(s[i - lo], left))
-            except SingularBlockError as exc:
-                singular[i] = exc.k
-                dy.append(np.zeros((n, m)))
-        del s                       # release the group before the corrections stack
-    return np.stack(dy), exact, singular
+        return s
+
+    for lo in range(0, b, group if helper is None else 2 * group):
+        mid, hi = lo + group, lo + 2 * group
+        pending = helper is not None and mid < b
+        try:
+            if pending:
+                helper.send(assemble(mid), exact[mid:hi], left)
+            _eliminate(assemble(lo), exact[lo:mid], left, dy[lo:mid], singular[lo:mid])
+            if pending:
+                helper.receive(singular[mid:hi], dy[mid:hi])
+        except BaseException:
+            if pending:
+                helper.stop()
+            raise
+    return dy, exact, singular
 
 
 def relax(problem: Callable[[int, SolutionGrid], DifferenceBlock],
@@ -401,7 +512,10 @@ def relax_batch(problem, initial, config) -> list:
     singular grid does not stop the others.
 
     The problem contract is relax's; _corrections assembles each sweep
-    and eliminates each grid alone.
+    and eliminates each grid alone.  With two CPUs, once the process's
+    helper is ready, a sweep of two assembly groups or more (at most
+    GROUP_BLOCKS blocks per grid) leaves every odd-numbered group to it;
+    this process eliminates the others.
     """
     grids, configs = list(initial), list(config)
     if len(grids) != len(configs):
@@ -416,6 +530,8 @@ def relax_batch(problem, initial, config) -> list:
             raise ValueError(f"scalv needs one entry per unknown ({n})")
     left = tuple(getattr(problem, "left", LEFT))
     _split(n, left)
+    helper = (_HELPER.batch() if m + 1 <= GROUP_BLOCKS and len(grids) > GROUP_BLOCKS // (m + 1)
+              else None)
     y = np.stack([grid.y for grid in grids])
     del grids, initial                  # the loop needs only the stacked copy
     scalv = np.array([cfg.scalv for cfg in configs])
@@ -428,7 +544,7 @@ def relax_batch(problem, initial, config) -> list:
     it = 0
     while live.size:
         it += 1
-        dy, exact, singular = _corrections(problem, y, left)
+        dy, exact, singular = _corrections(problem, y, left, helper)
         with np.errstate(over="ignore", invalid="ignore"):
             # err as a per-unknown loop sums it, then y + fac*dy in place;
             # rows that do not step get values that are never used

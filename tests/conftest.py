@@ -19,10 +19,19 @@ exactly.
 linear_level is the independent route for the linear potential's
 levels at any l: a second-order finite-difference Hamiltonian in r
 itself (no compactification, no relaxation), diagonalised by scipy.
+
+serial_engine and helper choose who eliminates a batch's groups: this
+process alone, or this process and a fresh helper process that is
+ready before the test starts, so that every sweep of two groups or more
+splits the same way.
 """
 
+import itertools
 import math
+import os
+import time
 from dataclasses import replace
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -34,6 +43,8 @@ from relaxbound import (DifferenceBlock, Mesh, Potential, ProblemSpec,
                         normalized_builder, roughness, solve_block_system)
 from relaxbound.scanner import _select
 
+# the package re-exports a function named relax over its relax module
+relax_mod = import_module("relaxbound.relax")
 N = 3
 RHS = 6
 
@@ -370,3 +381,31 @@ def mesh101():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def serial_engine(monkeypatch):
+    """No helper process for one test: this process eliminates every group."""
+    monkeypatch.setattr(relax_mod._Helper, "batch", lambda self: None)
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """A fresh helper process, ready, standing in for the process's own.
+
+    Two CPUs are reported whatever the host has.  helper.sent lists the
+    grid count of each group the helper was sent.  It is stopped after
+    the test.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    helper = relax_mod._Helper()
+    monkeypatch.setattr(relax_mod, "_HELPER", helper)
+    helper.batches, helper.sent, send = itertools.count(1), [], helper.send
+    helper.send = lambda s, *args: helper.sent.append(len(s)) or send(s, *args)
+    deadline = time.monotonic() + 60.0
+    while helper.batch() is None:       # the first call starts it
+        assert helper.proc is not None, "the helper did not start"
+        assert time.monotonic() < deadline, "the helper did not report ready"
+        time.sleep(0.005)
+    yield helper
+    helper.stop()

@@ -2,9 +2,15 @@
 on them, each against the one-grid route it must reproduce bit for bit."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 from importlib import import_module
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +18,7 @@ import pytest
 from relaxbound import (Mesh, ProblemSpec, RelaxConfig, SingularBlockError,
                         SolutionGrid, block_builder, default_config,
                         initial_guess, normalized_builder, relax, relax_batch,
-                        scan)
+                        scan, solve_bound_state)
 from conftest import reference_relax, reference_scan, smooth_grid
 
 # the package re-exports a function named relax over its relax module
@@ -298,7 +304,7 @@ def test_slabs_of_a_sweep_concatenate_to_the_whole_sweep(builder, n_vars, b,
 
 
 @pytest.mark.parametrize("formulation", ["original", "normalized"])
-def test_scan_memory_stays_small(formulation, mesh101):
+def test_scan_memory_stays_small(formulation, mesh101, serial_engine):
     # a sweep assembles about GROUP_BLOCKS blocks at a time; holding the
     # whole batch's (B, M+1, N, 2N+1) sweeps would add 1-2 MB here
     spec = ProblemSpec.linear(1, 2)
@@ -347,3 +353,242 @@ def test_a_block_by_block_pass_holds_one_slab_at_a_time(formulation):
     finally:
         tracemalloc.stop()
     assert peak <= 60 * FINE_M, peak / FINE_M
+
+
+# -------------------------------------------------------- helper process --
+
+
+def _expect_relaxed(got, problem, starts, configs):
+    """Each outcome of relax_batch is the one-grid reference's."""
+    for out, start, cfg in zip(got, starts, configs):
+        try:
+            want = reference_relax(problem, start, cfg)
+        except SingularBlockError as exc:
+            assert isinstance(out, SingularBlockError) and out.k == exc.k
+            continue
+        _assert_same_outcome(out, want)
+
+
+@pytest.mark.parametrize("steps", [45, 61])
+@pytest.mark.parametrize("formulation", ["original", "normalized"])
+def test_a_scan_shared_with_the_helper_matches_the_reference(formulation, steps, mesh101,
+                                                             helper):
+    spec = ProblemSpec.coulomb(1, 0)
+    got = scan(spec, mesh101, None, -14.1, -13.1, steps, formulation=formulation)
+    assert helper.sent                          # the odd-numbered groups went to it
+    want = reference_scan(spec, mesh101, None, -14.1, -13.1, steps, formulation)
+    assert repr(got) == repr(want)
+
+
+def test_spoiled_members_in_the_helpers_groups_match_relax(mesh101, helper):
+    spec, starts, configs = _mixed_members(mesh101)
+    group = relax_mod.GROUP_BLOCKS // (mesh101.m + 1)
+    spoiled = list(range(40, 44))               # SINGULAR, POISONED, OVERFLOW, y = 0
+    for src, dst in zip(spoiled, [group + 2, group + 7, 3 * group + 3, 3 * group + 8]):
+        starts.insert(dst, starts.pop(src))
+        configs.insert(dst, configs.pop(src))
+    where = {start.energy: i for i, start in enumerate(starts)}
+    assert all(where[e] // group % 2 for e in (SINGULAR, POISONED, OVERFLOW, 6.0))
+    problem = Spoiled(block_builder(mesh101, spec))
+    got = relax_batch(problem, starts, configs)
+    assert helper.sent
+    _expect_relaxed(got, problem, starts, configs)
+    assert isinstance(got[where[SINGULAR]], SingularBlockError)
+    assert got[where[SINGULAR]].k == 17
+    assert got[where[POISONED]].final_err == math.inf
+    assert math.isfinite(got[where[OVERFLOW]].final_err)
+    assert not got[where[OVERFLOW]].converged
+    assert (got[where[6.0]].iterations, got[where[6.0]].final_err) == (1, 0.0)
+
+
+def _coulomb_batch(mesh, steps=45):
+    spec = ProblemSpec.coulomb(1, 0)
+    guesses = np.linspace(-14.1, -13.1, steps)
+    return (block_builder(mesh, spec), [initial_guess(spec, mesh, g) for g in guesses],
+            [default_config(spec, g) for g in guesses])
+
+
+def test_a_helper_killed_between_batches_is_dropped(mesh101, helper):
+    build, starts, configs = _coulomb_batch(mesh101)
+    helper.proc.kill()
+    helper.proc.wait()
+    got = relax_batch(build, starts, configs)
+    assert helper.proc is None and not helper.sent
+    _expect_relaxed(got, build, starts, configs)
+
+
+class Sabotaged:
+    """A builder whose second assemble_batch call runs act first."""
+
+    def __init__(self, build, act):
+        self.build, self.left, self.act, self.calls = build, build.left, act, 0
+
+    def assemble_batch(self, y, *rows):
+        self.calls += 1
+        if self.calls == 2:             # the first group, once the second is sent
+            self.act()
+        return self.build.assemble_batch(y, *rows)
+
+
+def test_a_helper_that_dies_with_an_answer_pending_raises(mesh101, helper):
+    build, starts, configs = _coulomb_batch(mesh101)
+    pid = helper.proc.pid
+
+    def kill():
+        helper.proc.kill()
+        helper.proc.wait()
+
+    with pytest.raises(RuntimeError, match="helper died"):
+        relax_batch(Sabotaged(build, kill), starts, configs)
+    assert helper.sent == [relax_mod.GROUP_BLOCKS // (mesh101.m + 1)]
+    assert helper.proc is None
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+    _expect_relaxed(relax_batch(build, starts, configs), build, starts, configs)
+
+
+def test_a_raise_here_with_an_answer_pending_drops_the_helper(mesh101, helper):
+    build, starts, configs = _coulomb_batch(mesh101)
+    pid = helper.proc.pid
+
+    def fail():
+        raise ValueError("assembly failed")
+
+    with pytest.raises(ValueError, match="assembly failed"):
+        relax_batch(Sabotaged(build, fail), starts, configs)
+    assert helper.sent and helper.proc is None
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+    _expect_relaxed(relax_batch(build, starts, configs), build, starts, configs)
+
+
+def test_other_threads_run_their_batches_without_the_helper(mesh101, helper):
+    # four threads and this one relax at once, switching often: only this
+    # one, which started the helper, may use it, so no request interleaves
+    build, starts, configs = _coulomb_batch(mesh101)
+    want = relax_batch(build, starts, configs)
+    _expect_relaxed(want, build, starts, configs)
+    helper.sent.clear()
+    got = {}
+
+    def run(name):
+        got[name] = relax_batch(block_builder(mesh101, ProblemSpec.coulomb(1, 0)),
+                                starts, configs)
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        run("owner")
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(got) == 5 and helper.sent        # the owner's sweeps still split
+    for outs in got.values():
+        for out, alone in zip(outs, want):
+            _assert_same_outcome(out, alone)
+
+
+def test_another_process_neither_uses_nor_stops_the_helper(mesh101, helper, monkeypatch):
+    build, starts, configs = _coulomb_batch(mesh101)
+    proc, pid = helper.proc, os.getpid()
+    with monkeypatch.context() as patch:        # as in a child forked from this process
+        patch.setattr(os, "getpid", lambda: pid + 1)
+        _expect_relaxed(relax_batch(build, starts, configs), build, starts, configs)
+        helper.stop()                           # what the child's exit would run
+    assert not helper.sent
+    assert helper.proc is proc and proc.poll() is None
+    _expect_relaxed(relax_batch(build, starts, configs), build, starts, configs)
+    assert helper.sent
+
+
+def test_the_helper_exits_when_its_input_closes(helper):
+    helper.proc.stdin.close()
+    assert helper.proc.wait(timeout=10) == 0
+
+
+@pytest.fixture
+def popen_calls(monkeypatch):
+    """A fresh helper record whose Popen fails; lists each start attempt."""
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise OSError("no processes here")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    monkeypatch.setattr(relax_mod, "_HELPER", relax_mod._Helper())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return calls
+
+
+def test_the_helper_starts_once_at_the_second_batch(mesh101, popen_calls):
+    build, starts, configs = _coulomb_batch(mesh101, steps=11)     # two groups
+    relax_batch(build, starts, configs)
+    assert popen_calls == []
+    for _ in range(3):                  # a failed Popen is not retried
+        _expect_relaxed(relax_batch(build, starts, configs), build, starts, configs)
+        assert len(popen_calls) == 1
+
+
+def test_no_helper_starts_for_work_it_cannot_share(mesh101, popen_calls, monkeypatch):
+    build, starts, configs = _coulomb_batch(mesh101)
+    group = relax_mod.GROUP_BLOCKS // (mesh101.m + 1)
+    for _ in range(2):
+        relax_batch(build, starts[:group], configs[:group])     # one group
+        solve_bound_state(ProblemSpec.coulomb(1, 0), mesh101, -13.6)
+    with monkeypatch.context() as patch:
+        patch.setattr(relax_mod, "GROUP_BLOCKS", 7)             # long, streamed sweeps
+        for _ in range(2):
+            relax_batch(build, starts, configs)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        for _ in range(2):
+            relax_batch(build, starts, configs)
+    assert popen_calls == []
+
+
+def test_scan_memory_stays_small_with_the_helper(mesh101, helper):
+    # this process's share; the original formulation keeps the traced run short
+    spec = ProblemSpec.linear(1, 2)
+    scan(spec, mesh101, None, 10.4, 11.3, 61)       # warm caches
+    tracemalloc.start()
+    try:
+        scan(spec, mesh101, None, 10.4, 11.3, 61)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert helper.sent
+    assert peak <= 2_000_000
+
+
+EXITING = """import os, relaxbound
+from importlib import import_module
+os.sched_getaffinity = lambda pid: {0, 1}      # two CPUs on any host
+spec, mesh = relaxbound.ProblemSpec.linear(1, 0), relaxbound.Mesh.uniform(101)
+for _ in range(3):
+    relaxbound.scan(spec, mesh, None, 5.7, 6.2, 61)
+print(import_module("relaxbound.relax")._HELPER.proc.pid)
+"""
+
+
+def test_no_helper_outlives_its_process():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", EXITING], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    pid = int(done.stdout)
+    deadline = time.monotonic() + 5.0
+    while True:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, f"helper {pid} still runs"
+        time.sleep(0.05)

@@ -1,8 +1,10 @@
 """Block-tridiagonal Newton engine: structured elimination vs dense LU,
 stepping, damping, and failure reporting."""
 
+import copy
 import itertools
 import math
+import pickle
 import tracemalloc
 from importlib import import_module
 
@@ -461,6 +463,13 @@ def test_singular_left_boundary_block_names_block_one():
     assert info.value.k == 1
     assert "k=1" in str(info.value)
     assert isinstance(info.value, ArithmeticError)
+
+
+def test_singular_block_error_survives_pickling_and_copying():
+    for again in (pickle.loads(pickle.dumps(SingularBlockError(17))),
+                  copy.copy(SingularBlockError(17))):
+        assert again.k == 17
+        assert str(again) == "singular block at k=17"
 
 
 def test_singular_interior_block_names_its_position():
