@@ -22,20 +22,21 @@ stage by stage and back-substituted, never materialising the dense
 matrix, by one elimination generated per layout: straight-line Python
 whose interior stage loops over the sweep's blocks, packing float64
 relation records into one store as solvde fills c; its back-substitution
-writes the corrections straight into a fresh float64 array, as bksub fills y.
+writes the corrections straight into one float64 array, as bksub fills y.
 relax_batch runs one Newton loop over B grids (relax is B = 1), as a
 scan relaxes a window of guesses, and eliminates each grid alone, so each
-grid stops at the same sweep with the same bits as it would alone.  Short
-sweeps are assembled a few grids at a time, and with two CPUs a helper
-process (_Helper), started at a process's second batch of two groups or
-more and killed at its exit, eliminates every other group; a sweep longer
-than GROUP_BLOCKS streams into its elimination slab by slab, as solvde
-asks difeq for blocks.
+grid stops at the same sweep with the same bits as it would alone.  One
+loop assembles grids a group at a time in slabs of GROUP_BLOCKS rows, so a
+longer sweep streams into its elimination, as solvde asks difeq for blocks.
+With two CPUs a helper process (_Helper), started at a process's second
+batch of two groups or more and killed at its exit, eliminates every
+other group.
 """
 
 from __future__ import annotations
 
 import atexit
+import collections
 import contextlib
 import functools
 import itertools
@@ -45,7 +46,6 @@ import struct
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -133,8 +133,9 @@ class _Layout:
     relation), N x (len(trail)+1) floats, as one record into a bytearray
     filled from the end; back reads them in order and stores unknown v's
     corrections in d{v}, slice [v*M:(v+1)*M] of a flat memoryview of the
-    fresh (N, M) float64 array it returns.  The boundary stages and back
-    run once per solve, compiled apart: compile memory grows with source.
+    (N, M) float64 array it returns: eliminate's out, else a fresh one.
+    The boundary stages and back run once per solve, compiled apart:
+    compile memory grows with source.
     """
 
     def __init__(self, n: int, left: tuple[int, ...]):
@@ -165,8 +166,9 @@ class _Layout:
         x, q = ", ".join(f"x{t}" for t in trail), flat("q", range(nl))
         record = struct.Struct(f"{n * w}d")     # one interior stage's relations
         back = _compile("back", [
-            "def back(recs, rel0, last, m):",
-            f" dy = memoryview(out := empty(({n}, m))).cast('B').cast('d')",
+            "def back(recs, rel0, last, m, out):",
+            f" dy = memoryview(out := empty(({n}, m)) if out is None else out)"
+            ".cast('B').cast('d')",
             f" {', '.join(f'd{v}' for v in range(n))}, ="
             f" {', '.join(f'dy[{v} * m:{v + 1} * m]' for v in range(n))},",
             f" {x}, = last",
@@ -181,7 +183,7 @@ class _Layout:
             " return out"], unpack=record.iter_unpack, empty=np.empty)
         self.unpack = struct.Struct(f"{n * (2 * n + 1)}d").iter_unpack
         self.eliminate = _compile("eliminate", [
-            "def eliminate(blocks, m):",
+            "def eliminate(blocks, m, out=None):",
             f" {q}, = rel0 = first(next(blocks), None, 1)",
             f" recs, k = bytearray({record.size} * (m - 1)), 1",
             f" for {t1} in islice(blocks, m - 1):",
@@ -189,7 +191,7 @@ class _Layout:
             *(f"  {line}" for line in inner),
             f"  pack_into(recs, (m - k) * {record.size}, {flat('c', range(n))})",
             f"  {q} = {flat('c', range(n - nl, n))}",
-            f" return back(recs, rel0, right(next(blocks), ({q},), m + 1), m)"],
+            f" return back(recs, rel0, right(next(blocks), ({q},), m + 1), m, out)"],
             islice=itertools.islice,
             pack_into=record.pack_into,
             first=stage(t0, first, nl, w), right=stage(t2, right, n - nl, 1, q), back=back)
@@ -316,28 +318,27 @@ def _sweeps(problem, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return s
 
 
-def _unsolved(s: np.ndarray, lo: int, m: int, t: int) -> np.ndarray:
-    """Per grid, whether rows lo.. of its sweep hold a meaningful residual
-    that is not exactly zero: in flat order, entries t..M*N+t-1."""
-    n = s.shape[2]
-    return s[..., -1].reshape(len(s), -1)[:, max(t - lo * n, 0):(m - lo) * n + t].any(axis=1)
-
-
-def _eliminate(s: np.ndarray, exact, left, dy: np.ndarray, singular: np.ndarray):
-    """Each sweep of s not exactly solved: its corrections into dy, else where it fails."""
-    for i, sweep in enumerate(s):
-        if not exact[i]:
-            try:
+def _eliminate(sweeps, left, dy: np.ndarray, singular: np.ndarray):
+    """Each sweep's corrections into dy, else where its elimination fails:
+    an (M+1, N, 2N+1) array goes whole to solve_block_system, a stream of
+    block tuples into the generated elimination, which writes into dy."""
+    for i, sweep in enumerate(sweeps):
+        try:
+            if isinstance(sweep, np.ndarray):
                 dy[i] = solve_block_system(sweep, left)
-            except SingularBlockError as exc:
-                singular[i] = exc.k
+            else:
+                _layout(dy.shape[1], left).eliminate(sweep, dy.shape[2], dy[i])
+        except SingularBlockError as exc:
+            singular[i] = exc.k
+            if not isinstance(sweep, np.ndarray):   # its later slabs: the exactness test
+                collections.deque(sweep, 0)
 
 
 class _Helper:
     """The one helper process of a process: _serve answers each group's
-    header, exactly-solved mask and raw float64 sweeps on its stdin with
-    their singular blocks (int64) and corrections (float64) on its stdout.
-    Only the thread that started it uses it, so requests never interleave."""
+    header and raw float64 sweeps on its stdin with their singular blocks
+    (int64) and corrections (float64) on its stdout.  Only the thread that
+    started it uses it, so requests never interleave."""
 
     proc = owner = None
     ready = False
@@ -371,10 +372,10 @@ class _Helper:
             self.stop()             # it died: run without it
         return None if self.proc is None else self
 
-    def send(self, s: np.ndarray, exact: np.ndarray, left):
+    def send(self, s: np.ndarray, left):
         head = struct.pack(f"4q{len(left)}q", len(s), s.shape[1] - 1, s.shape[2], len(left), *left)
         try:
-            self.proc.stdin.writelines([head, exact.tobytes(), s])
+            self.proc.stdin.writelines([head, s])
             self.proc.stdin.flush()
         except BrokenPipeError as exc:
             raise RuntimeError("the elimination helper died") from exc
@@ -402,97 +403,90 @@ def _serve():
     dst.flush()
     while head := src.read(32):
         g, m, n, nl = struct.unpack("4q", head)
-        left, exact = struct.unpack(f"{nl}q", src.read(8 * nl)), src.read(g)
+        left = struct.unpack(f"{nl}q", src.read(8 * nl))
         s = np.frombuffer(src.read(8 * g * (m + 1) * n * (2 * n + 1)))
         dy, singular = np.zeros((g, n, m)), np.zeros(g, dtype=np.int64)
-        _eliminate(s.reshape(g, m + 1, n, -1), exact, left, dy, singular)
+        _eliminate(s.reshape(g, m + 1, n, -1), left, dy, singular)
         dst.writelines([singular, dy])
         dst.flush()
 
 
 def _corrections(problem, y: np.ndarray, left: tuple[int, ...], helper=None):
-    """Newton corrections of each grid in y (B, N, M).
+    """Newton corrections of each grid in y (B, N, M), in one array.
 
     Returns (dy, exact, singular): exact marks grids whose meaningful
     residuals are all exactly zero, singular holds the 1-based block
-    where a grid's elimination failed, else 0; both get zero dy.  An
-    exactly solved grid already solves the discrete system, so its
-    correction is zero by definition and its Jacobian may legitimately
-    be singular (on the all-zero trivial solution the energy column
-    vanishes entirely).
+    where a grid's elimination failed, else 0.  Once all are eliminated,
+    here or by the helper, an exactly solved grid gets zero dy and no
+    singular block: it already solves the discrete system, and its
+    Jacobian may legitimately be singular (on the all-zero trivial
+    solution the energy column vanishes entirely).
 
-    Sweeps of at most GROUP_BLOCKS blocks, and all of a problem without
-    assemble_batch, go whole to solve_block_system, about GROUP_BLOCKS blocks
-    of grids per assembly; longer ones stream in GROUP_BLOCKS rows at a time.
-    Given relax_batch's helper, groups go in pairs: the second is assembled
-    and sent to the helper, the first assembled and eliminated here, then
-    the helper's answer is read into dy.  If anything raises meanwhile, the
-    helper is dropped: a request or answer may be cut short.
+    Groups of about GROUP_BLOCKS blocks of grids are assembled in slabs of
+    at most GROUP_BLOCKS rows.  A short sweep, or any of a problem without
+    assemble_batch, is one slab and goes whole to solve_block_system; a
+    longer one, alone in its group, streams into its elimination.  Given
+    relax_batch's helper, groups go in pairs: the second is sent to the
+    helper, the first eliminated here, then the helper's answer is read
+    into dy.  If anything raises meanwhile, the helper is dropped: a
+    request or answer may be cut short.
     """
     b, n, m = y.shape
     t = n - len(left)               # the right block's rows; the left block's start at t
-    dy, exact, singular = [], np.ones(b, dtype=bool), np.zeros(b, dtype=int)
-    if m + 1 > GROUP_BLOCKS and hasattr(problem, "assemble_batch"):
-        for i in range(b):
-            def slab(lo, i=i):
-                s = _sweeps(problem, y[i:i + 1], lo, min(lo + GROUP_BLOCKS, m + 1))
-                exact[i] &= ~_unsolved(s, lo, m, t)[0]
-                return _layout(n, left).unpack(s)
-            slabs = map(slab, range(0, m + 1, GROUP_BLOCKS))
-            try:
-                dy.append(_layout(n, left).eliminate(itertools.chain.from_iterable(slabs), m))
-            except SingularBlockError as exc:
-                singular[i] = exc.k
-                dy.append(np.zeros((n, m)))
-                for _ in slabs:     # assembled only to finish the exactness test
-                    pass
-            if exact[i]:
-                singular[i], dy[i] = 0, np.zeros((n, m))
-        return np.stack(dy), exact, singular
-    dy, group = np.zeros((b, n, m)), max(1, GROUP_BLOCKS // (m + 1))
-    helper = helper if b > group else None
+    rows = GROUP_BLOCKS if hasattr(problem, "assemble_batch") else m + 1    # per slab
+    group = max(1, GROUP_BLOCKS // (m + 1))
+    dy, exact, singular = np.zeros((b, n, m)), np.ones(b, dtype=bool), np.zeros(b, dtype=int)
 
-    def assemble(lo):
-        s = _sweeps(problem, y[lo:lo + group], 0, m + 1)
-        exact[lo:lo + len(s)] = ~_unsolved(s, 0, m, t)
+    def slab(lo, start):            # rows start.. of the sweeps of the group at lo
+        s = _sweeps(problem, y[lo:lo + group], start, min(start + rows, m + 1))
+        e = s[..., -1].reshape(len(s), -1)      # residuals; flat t..M*N+t-1 mean something
+        exact[lo:lo + group] &= ~e[:, max(t - start * n, 0):(m - start) * n + t].any(axis=1)
         return s
+
+    def sweeps(lo):                 # whole, or a stream: map keeps no slab past its blocks
+        if rows > m:
+            return slab(lo, 0)
+        unpack = _layout(n, left).unpack
+        return [itertools.chain.from_iterable(
+            map(lambda start: unpack(slab(lo, start)), range(0, m + 1, rows)))]
 
     for lo in range(0, b, group if helper is None else 2 * group):
         mid, hi = lo + group, lo + 2 * group
         pending = helper is not None and mid < b
         try:
             if pending:
-                helper.send(assemble(mid), exact[mid:hi], left)
-            _eliminate(assemble(lo), exact[lo:mid], left, dy[lo:mid], singular[lo:mid])
+                helper.send(sweeps(mid), left)
+            _eliminate(sweeps(lo), left, dy[lo:mid], singular[lo:mid])
             if pending:
                 helper.receive(singular[mid:hi], dy[mid:hi])
         except BaseException:
             if pending:
                 helper.stop()
             raise
+    singular[exact], dy[exact] = 0, 0.0
     return dy, exact, singular
 
 
-def relax(problem: Callable[[int, SolutionGrid], DifferenceBlock],
-          initial: SolutionGrid, config: RelaxConfig) -> RelaxOutcome:
+def relax(problem, initial: SolutionGrid, config: RelaxConfig) -> RelaxOutcome:
     """Iterate damped Newton steps until the correction norm drops below conv.
 
     problem.assemble_batch(y), when present, must return the whole
     sweeps (B, M+1, N, 2N+1) at each grid of the stacked (B, N, M) array
     y, and assemble_batch(y, lo, hi) their rows lo..hi-1, asked only of
-    sweeps longer than GROUP_BLOCKS blocks.  Otherwise problem(k, grid) must return the difference block for
-    k = 1..M+1; the engine requests blocks in that order exactly once
-    per sweep.  N and M are the initial grid's shape; the mesh is the
-    problem's own.  problem.left, when present, names the unknowns the
-    left boundary rows determine (default (0,)), and config.scalv needs
-    one entry per unknown.  Each sweep solves for the raw corrections,
-    measures err = mean(|delta|/scalv), damps by
-    fac = slowc/max(slowc, err), and applies y += fac*delta before
-    testing err < conv.  A grid whose residuals are all exactly zero
-    converges immediately with zero correction.  Non-convergence (itmax
-    exhausted, or a step that would leave the finite domain) is reported
-    through the outcome, not raised; a singular block raises
-    SingularBlockError.  This is relax_batch with one grid.
+    sweeps longer than GROUP_BLOCKS blocks.  Otherwise problem(k, grid)
+    must return block k (a DifferenceBlock or N x (2N+1) array) for
+    k = 1..M+1, requested in that order exactly once per sweep.  N and M
+    are the initial grid's shape; the mesh is the problem's own.
+    problem.left, when present, names the unknowns the left boundary
+    rows determine (default (0,)), and config.scalv needs one entry per
+    unknown.  Each sweep solves for the raw corrections, measures
+    err = mean(|delta|/scalv), damps by fac = slowc/max(slowc, err), and
+    applies y += fac*delta before testing err < conv.  A grid whose
+    residuals are all exactly zero converges immediately with zero
+    correction.  Non-convergence (itmax exhausted, or a step that would
+    leave the finite domain) is reported through the outcome, not
+    raised; a singular block raises SingularBlockError.  This is
+    relax_batch with one grid.
     """
     out, = relax_batch(problem, [initial], [config])
     if isinstance(out, SingularBlockError):
@@ -511,11 +505,11 @@ def relax_batch(problem, initial, config) -> list:
     RelaxOutcome, or the SingularBlockError its elimination hit, so one
     singular grid does not stop the others.
 
-    The problem contract is relax's; _corrections assembles each sweep
-    and eliminates each grid alone.  With two CPUs, once the process's
-    helper is ready, a sweep of two assembly groups or more (at most
-    GROUP_BLOCKS blocks per grid) leaves every odd-numbered group to it;
-    this process eliminates the others.
+    The problem contract is relax's; _corrections assembles each sweep,
+    whole or slab by slab, and eliminates each grid alone.  With two
+    CPUs, once the process's helper is ready, a sweep of two assembly
+    groups or more (at most GROUP_BLOCKS blocks per grid) leaves every
+    odd-numbered group to it; this process eliminates the others.
     """
     grids, configs = list(initial), list(config)
     if len(grids) != len(configs):

@@ -1,6 +1,7 @@
 """Batched relaxation: relax_batch, batch assembly and the scanner built
 on them, each against the one-grid route it must reproduce bit for bit."""
 
+import io
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import tracemalloc
 from dataclasses import replace
 from importlib import import_module
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ import pytest
 from relaxbound import (Mesh, ProblemSpec, RelaxConfig, SingularBlockError,
                         SolutionGrid, block_builder, default_config,
                         initial_guess, normalized_builder, relax, relax_batch,
-                        scan, solve_bound_state)
+                        scan, solve_block_system, solve_bound_state)
 from conftest import reference_relax, reference_scan, smooth_grid
 
 # the package re-exports a function named relax over its relax module
@@ -152,12 +154,24 @@ def test_mixed_retirement_batch_matches_relax(mesh101):
     assert len(sweeps) >= 4                     # members leave at different sweeps
 
 
-def test_long_sweeps_stream_slab_by_slab_with_the_same_bits(mesh101, monkeypatch):
-    # seven-block slabs: block k = 17 lies in the third; an exactly solved
-    # grid whose elimination fails there is still exactly solved, and one
-    # whose only residual sits in the last slab is still singular
-    monkeypatch.setattr(relax_mod, "GROUP_BLOCKS", 7)
+@pytest.mark.parametrize("route", ["streamed", "whole", "helper"])
+def test_long_sweeps_stream_slab_by_slab_with_the_same_bits(route, mesh101, monkeypatch,
+                                                            request):
+    # on every route an exactly solved grid whose elimination fails at block
+    # k = 17 is still exactly solved, and one whose only residual sits in the
+    # last block is still singular.  streamed: seven-block slabs, k = 17 in the
+    # third; whole: each sweep whole to solve_block_system, in this process;
+    # helper: the first group's members again up front put the last four
+    # members in the group the helper eliminates
+    if route == "streamed":
+        monkeypatch.setattr(relax_mod, "GROUP_BLOCKS", 7)
+        slabs = {(lo, min(lo + 7, mesh101.m + 1)) for lo in range(0, mesh101.m + 1, 7)}
+    else:
+        request.getfixturevalue("serial_engine" if route == "whole" else "helper")
+        slabs = {(0, None)}
     spec, starts, configs = _mixed_members(mesh101)
+    group = relax_mod.GROUP_BLOCKS // (mesh101.m + 1)
+    starts[:0], configs[:0] = starts[:group], configs[:group]
     for energy, zero in [(SINGULAR, True), (HIDDEN, True), (HIDDEN, False)]:
         y = np.zeros((3, mesh101.m))
         y[2] = energy
@@ -165,7 +179,6 @@ def test_long_sweeps_stream_slab_by_slab_with_the_same_bits(mesh101, monkeypatch
         configs.append(default_config(spec, energy))
     problem = Spoiled(block_builder(mesh101, spec))
     got = relax_batch(problem, starts, configs)
-    slabs = {(lo, min(lo + 7, mesh101.m + 1)) for lo in range(0, mesh101.m + 1, 7)}
     assert set(problem.requests) == slabs
     for out, start, cfg in zip(got, starts, configs):
         if isinstance(out, SingularBlockError):
@@ -322,9 +335,10 @@ FINE_M = 10001          # a sweep of about ten GROUP_BLOCKS slabs
 BUILDERS = {"original": block_builder, "normalized": normalized_builder}
 
 
-@pytest.mark.parametrize("formulation, per_point", [("original", 180), ("normalized", 250)])
+@pytest.mark.parametrize("formulation, per_point", [("original", 155), ("normalized", 215)])
 def test_a_long_sweep_holds_one_slab_at_a_time(formulation, per_point):
-    # the whole sweep alone is 168 B per point at N = 3 and 288 B at N = 4
+    # the whole sweep alone is 168 B per point at N = 3 and 288 B at N = 4;
+    # two slabs alive at once would read about 165 and 232 B
     mesh, spec = Mesh.uniform(FINE_M), ProblemSpec.coulomb(1, 0)
     build = BUILDERS[formulation](mesh, spec)
     start = initial_guess(spec, mesh, -13.6, formulation)
@@ -504,6 +518,34 @@ def test_another_process_neither_uses_nor_stops_the_helper(mesh101, helper, monk
     assert helper.proc is proc and proc.poll() is None
     _expect_relaxed(relax_batch(build, starts, configs), build, starts, configs)
     assert helper.sent
+
+
+def test_the_helper_loop_answers_a_request_as_solve_block_system(mesh101, rng, monkeypatch):
+    # one request over in-memory pipes, written by _Helper.send and read back
+    # by _Helper.receive: a plain sweep, one singular at block k = 17 and one
+    # whose residuals are all zero; _serve returns at the end of its input
+    build = normalized_builder(mesh101, ProblemSpec.linear(1, 2))
+    s = np.stack([build.assemble(smooth_grid(mesh101, rng, 10.0, 4)) for _ in range(3)])
+    s[1, 16] = 0.0
+    s[2, ..., -1] = 0.0
+    request, answer = io.BytesIO(), io.BytesIO()
+    sender = relax_mod._Helper()
+    sender.proc = SimpleNamespace(stdin=request)
+    sender.send(s, build.left)
+    monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=io.BytesIO(request.getvalue())))
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=answer))
+    relax_mod._serve()
+    sender.proc.stdout = io.BytesIO(answer.getvalue())
+    assert sender.proc.stdout.read(1) == b"R"
+    singular, dy = np.full(3, -1), np.full((3, 4, mesh101.m), np.nan)
+    sender.receive(singular, dy)
+    assert sender.proc.stdout.read() == b""
+    with pytest.raises(SingularBlockError) as info:
+        solve_block_system(s[1], build.left)
+    assert singular.tolist() == [0, info.value.k, 0] and info.value.k == 17
+    for got, sweep in zip(dy[[0, 2]], s[[0, 2]]):
+        assert got.tobytes() == solve_block_system(sweep, build.left).tobytes()
+    assert not dy[1].any()
 
 
 def test_the_helper_exits_when_its_input_closes(helper):

@@ -187,8 +187,8 @@ def test_every_input_form_gives_the_same_bits(builder, n_vars, mesh101, rng):
     for form in forms:
         got = solve_block_system(form, build.left)
         assert got.tobytes() == want.tobytes()
-        # a fresh float64 (N, M) array per call: _corrections keeps each
-        # grid's, so two calls must never share a buffer
+        # a fresh float64 (N, M) array per call: a caller may keep every
+        # result it gets, so two calls must never share a buffer
         assert got.dtype == np.float64 and got.shape == (n_vars, mesh101.m)
         assert got.flags.c_contiguous and got.flags.writeable
         assert not np.shares_memory(got, want)
