@@ -5,7 +5,8 @@ from the Coulomb bound-state formulas.  The linear potential reduces to
 the Airy equation, so its S-wave spectrum is built on the negative zeros
 of Ai(x), tabulated below as constants (DLMF 9.9), so checking Ai at
 them tests the evaluator.  The evaluator is self-contained (power series
-inside |x| <= 8, asymptotic expansions out to |x| <= 20).
+inside |x| <= 8, asymptotic expansions out to |x| <= 20); the series
+runs on whole arrays, each entry stopping at its own last term.
 """
 
 from __future__ import annotations
@@ -65,21 +66,24 @@ def hydrogen_radial(n: int, l: int, z) -> float:
     return float(u) if u.ndim == 0 else u
 
 
-def _ai_series(x: float) -> float:
-    """Maclaurin pair Ai = Ai(0)*f + Ai'(0)*g; safe up to |x| ~ 8."""
-    x3 = x * x * x
-    f_term = 1.0
-    g_term = x
-    f_sum = f_term
-    g_sum = g_term
+def _ai_series(x):
+    """Maclaurin pair Ai = Ai(0)*f + Ai'(0)*g, safe up to |x| ~ 8, of a float
+    or an array; each entry stops at its own last term, as it would alone."""
+    xv = np.asarray(x, dtype=float)
+    x3 = xv * xv * xv
+    f_term, g_term = np.ones_like(xv), xv.copy()
+    f_sum, g_sum = f_term.copy(), g_term.copy()
+    live = np.ones(xv.shape, dtype=bool)
     for k in range(1, 400):
-        f_term *= x3 / ((3 * k - 1) * (3 * k))
-        g_term *= x3 / ((3 * k) * (3 * k + 1))
-        f_sum += f_term
-        g_sum += g_term
-        if abs(f_term) + abs(g_term) < 1e-17 * (1.0 + abs(f_sum) + abs(g_sum)):
+        np.multiply(f_term, x3 / ((3 * k - 1) * (3 * k)), out=f_term, where=live)
+        np.multiply(g_term, x3 / ((3 * k) * (3 * k + 1)), out=g_term, where=live)
+        np.add(f_sum, f_term, out=f_sum, where=live)
+        np.add(g_sum, g_term, out=g_sum, where=live)
+        live &= ~(abs(f_term) + abs(g_term) < 1e-17 * (1.0 + abs(f_sum) + abs(g_sum)))
+        if not live.any():
             break
-    return _AI_ZERO * f_sum + _AIP_ZERO * g_sum
+    ai = _AI_ZERO * f_sum + _AIP_ZERO * g_sum
+    return float(ai) if ai.ndim == 0 else ai
 
 
 def _asymptotic_terms(zeta: float):
@@ -119,7 +123,7 @@ def _ai_asymptotic(x: float) -> float:
 
 
 def airy_ai(x: float) -> float:
-    """Ai(x) on |x| <= 20, series for |x| <= 8 and asymptotics beyond."""
+    """Ai(x) for one float on |x| <= 20, _ai_series for |x| <= 8, asymptotics beyond."""
     x = float(x)
     if not abs(x) <= _DOMAIN_LIMIT:
         raise ValueError(f"|x| <= {_DOMAIN_LIMIT} required, got {x}")
@@ -158,15 +162,17 @@ def linear_radial(n: int, r, lam: float = LINEAR_LAMBDA, mu: float = LINEAR_MU):
     With E_n from linear_energy this is Ai((2*mu/lam^2)^(1/3)*(lam*r - E_n)),
     and nothing divides by lam^2.  Beyond the evaluator's domain u is far
     below double-precision visibility, so it is clamped to zero there.
+    A float r gives a float.  Points with |x| <= 8 go through _ai_series
+    in one call, the rest through airy_ai; each keeps airy_ai's bits.
     """
     energy = linear_energy(n, lam, mu)
     rv = np.asarray(r, dtype=float)
     if not ((rv >= 0.0) & (rv < np.inf)).all():
         raise ValueError("r must be nonnegative and finite")
     arg = airy_zero(n) * (1.0 - lam * rv / energy)
-    out = np.empty_like(arg, dtype=float)
-    flat_arg = arg.ravel()
-    flat_out = out.ravel()
-    for i, a in enumerate(flat_arg):
-        flat_out[i] = 0.0 if a > _DOMAIN_LIMIT else airy_ai(a)
+    out = np.zeros_like(arg)
+    series = np.abs(arg) <= _SERIES_LIMIT
+    out[series] = _ai_series(arg[series])
+    for i in np.flatnonzero(~series & ~(arg > _DOMAIN_LIMIT)):
+        out.flat[i] = airy_ai(arg.flat[i])
     return float(out) if out.ndim == 0 else out

@@ -165,20 +165,29 @@ def write_curve(x: np.ndarray, values: np.ndarray, path, fmt: str = "dat",
                 **fields) -> None:
     """Write a curve with its values normalised to unit peak |value|.
 
-    fmt "dat" writes 'x value' lines; "json" writes fields, then the x
-    and value lists, as one JSON object.  x and values must be equally long.
-    """
+    fmt "dat" writes 'x value' lines; "json" writes fields, then the x and
+    value lists, as one JSON object laid out as by json.dump(..., indent=1).
+    x and values must be one-dimensional and equally long."""
+    x, values = np.asarray(x), np.asarray(values)
+    if x.ndim != 1 or values.ndim != 1:
+        raise ValueError("x and values must be one-dimensional")
+    if "value" in fields:
+        raise ValueError("a field named 'value' would clash with the values list")
     if len(x) != len(values):
         raise ValueError(f"{len(x)} x values for {len(values)} curve values")
     if fmt not in ("dat", "json"):
         raise ValueError(f"fmt must be 'dat' or 'json', not {fmt!r}")
     values = values / max(np.abs(values).max(), 1e-300)
+    if fmt == "dat":
+        text = "".join(map("{:.6f} {:.6f}\n".format, x.tolist(), values.tolist()))
+    else:
+        # an indent turns json's C encoder off; the lists are laid out here
+        xs, vs = (json.dumps(a.tolist(), separators=(",\n  ", ": "))[1:-1]
+                  for a in (x, values))
+        head = json.dumps(fields, indent=1)[:-2] + "," if fields else "{"  # drop "\n}"
+        text = f'{head}\n "x": [\n  {xs}\n ],\n "value": [\n  {vs}\n ]\n}}'
     with open(path, "w") as fh:
-        if fmt == "dat":
-            fh.writelines(f"{xk:.6f} {vk:.6f}\n" for xk, vk in zip(x, values))
-        else:
-            json.dump({**fields, "x": x.tolist(), "value": values.tolist()}, fh,
-                      indent=1)
+        fh.write(text)
 
 
 # Reference eigenvalues (single-precision runs of the same scheme) used

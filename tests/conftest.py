@@ -16,6 +16,10 @@ batched engine: the one-grid Newton loop and the guess-by-guess scan,
 on solve_block_system, that relax_batch and scan must reproduce
 exactly.
 
+reference_ai_series is the scalar route for checking the Airy series
+on arrays: the one-point Maclaurin loop on Python floats, which every
+entry of an array evaluation must reproduce bit for bit.
+
 linear_level is the independent route for the linear potential's
 levels at any l: a second-order finite-difference Hamiltonian in r
 itself (no compactification, no relaxation), diagonalised by scipy.
@@ -215,6 +219,25 @@ def reference_scan(spec, mesh, config, e_min, e_max, steps,
                                  roughness(out.grid)))
     idx = _select(entries)
     return ScanReport(tuple(entries), idx)
+
+
+def reference_ai_series(x):
+    """Ai(x) = Ai(0)*f + Ai'(0)*g by the Maclaurin pair, one float at a time."""
+    ai0 = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)
+    aip0 = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)
+    x3 = x * x * x
+    f_term = 1.0
+    g_term = x
+    f_sum = f_term
+    g_sum = g_term
+    for k in range(1, 400):
+        f_term *= x3 / ((3 * k - 1) * (3 * k))
+        g_term *= x3 / ((3 * k) * (3 * k + 1))
+        f_sum += f_term
+        g_sum += g_term
+        if abs(f_term) + abs(g_term) < 1e-17 * (1.0 + abs(f_sum) + abs(g_sum)):
+            break
+    return ai0 * f_sum + aip0 * g_sum
 
 
 def linear_level(l, n=1, mu=0.75, lam=5.0, r_max=12.0, points=20000):

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 import scipy.special
 
-from relaxbound import (ProblemSpec, airy_ai, airy_zero, hydrogen_energy,
-                        hydrogen_radial, linear_energy, linear_radial)
+from relaxbound import (LINEAR_LAMBDA, ProblemSpec, airy_ai, airy_zero,
+                        hydrogen_energy, hydrogen_radial, linear_energy, linear_radial)
 from relaxbound.oracles import (MAX_AIRY_ZEROS, _ai_asymptotic, _ai_series,
                                 airy_zero_table)
+
+from conftest import reference_ai_series
 
 # ---------------------------------------------------------------- levels --
 
@@ -156,6 +158,21 @@ def test_airy_series_and_asymptotics_agree_on_the_overlap_band():
                              np.linspace(-8.4, -7.6, 17)]):
         assert _ai_series(float(x)) == pytest.approx(
             _ai_asymptotic(float(x)), abs=1e-9)
+
+
+def test_airy_series_on_an_array_keeps_every_scalar_bit():
+    # each entry stops at its own last term, as the one-point loop does
+    rng = np.random.default_rng(23)
+    xs = np.concatenate([[0.0, -0.0, 8.0, -8.0, 5e-324, -1e-310],
+                         rng.uniform(-1e-3, 1e-3, 200), np.linspace(-8.0, 8.0, 1601),
+                         rng.uniform(-8.0, 8.0, 1000)])
+    want = np.array([reference_ai_series(float(x)) for x in xs])
+    assert _ai_series(xs).tobytes() == want.tobytes()
+    grid = _ai_series(xs[:12].reshape(3, 4))
+    assert grid.shape == (3, 4) and grid.tobytes() == want[:12].tobytes()
+    for x in (0.0, -8.0, 0.5):
+        assert type(_ai_series(x)) is float and _ai_series(x) == reference_ai_series(x)
+        assert type(airy_ai(x)) is float and airy_ai(x) == reference_ai_series(x)
 
 
 @pytest.mark.parametrize("x", [20.5, -25.0, float("nan")])
@@ -337,6 +354,24 @@ def test_linear_radial_peaks_inside_the_classical_region():
     r_peak = r[np.argmax(np.abs(u))]
     assert 0.5 < r_peak < 0.9           # turning point sits at E/lambda = 1.19
     assert r_peak < linear_energy(1) / 5.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_linear_radial_keeps_the_bits_of_one_point_at_a_time(n):
+    # radii whose Airy argument x = x_n*(1 - lam*r/E_n) runs from x_n
+    # across the series limit |x| = 8 and past the clamp at x = 20
+    energy, zero = linear_energy(n), airy_zero(n)
+    r_max = energy / LINEAR_LAMBDA * (1.0 - 24.0 / zero)
+    r = np.concatenate([np.linspace(0.0, r_max, 3001),
+                        energy / LINEAR_LAMBDA * (1.0 - np.array([-8.0, 8.0, 20.0]) / zero)])
+    r = r[r >= 0.0]
+    arg = zero * (1.0 - LINEAR_LAMBDA * r / energy)
+    assert arg.min() < (-8.0 if n == 10 else 8.0) and arg.max() > 20.0
+    want = [0.0 if a > 20.0 else reference_ai_series(a) if abs(a) <= 8.0 else airy_ai(a)
+            for a in arg.tolist()]
+    assert linear_radial(n, r).tobytes() == np.array(want).tobytes()
+    assert type(linear_radial(n, 0.5)) is float
+    assert linear_radial(n, 0.5) == linear_radial(n, np.array([0.5]))[0]
 
 
 def test_linear_radial_rejects_negative_radius():

@@ -1,5 +1,7 @@
 """Smoothness scoring, guess scans, curve comparison, and table output."""
 
+import io
+import json
 import math
 
 import numpy as np
@@ -348,6 +350,50 @@ def test_write_curve_rejects_an_unknown_format(mesh101, tmp_path):
     with pytest.raises(ValueError, match="'csv'"):
         write_curve(mesh101.x, np.ones(mesh101.m), tmp_path / "x.csv", fmt="csv")
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("fields", [
+    {}, {"eigenvalue": 5.972379},
+    {"converged": True, "iterations": 7, "final_err": None, "eigenvalue": -13.6},
+], ids=["none", "oracle", "solve"])
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "nan"])
+def test_write_curve_lays_out_a_long_curve_as_json_dump_does(tmp_path, fields, nan):
+    rng = np.random.default_rng(1001)
+    x = np.linspace(0.0, 1.0, 1001)
+    values = rng.uniform(-1.0, 1.0, 1001)
+    values[500] = 1.0                   # the peak: normalising keeps every bit
+    x[1:5] = values[1:5] = (-0.0, 5e-324, -2.5e-310, 1e-320)
+    if nan:                             # the peak is then NaN, and so is every value
+        x[7] = values[7] = math.nan
+    normalised = values / max(np.abs(values).max(), 1e-300)
+    for fmt in ("json", "dat"):
+        write_curve(x, values, tmp_path / f"c.{fmt}", fmt, **fields)
+    want = io.StringIO()
+    json.dump({**fields, "x": x.tolist(), "value": normalised.tolist()}, want, indent=1)
+    assert (tmp_path / "c.json").read_text() == want.getvalue()
+    assert (tmp_path / "c.dat").read_text() == "".join(
+        f"{a:.6f} {v:.6f}\n" for a, v in zip(x.tolist(), normalised.tolist()))
+
+
+def test_write_curve_refuses_a_curve_that_is_not_one_dimensional(tmp_path):
+    # a 2-D curve used to truncate the file, then fail formatting its rows
+    path = tmp_path / "kept.dat"
+    path.write_text("kept\n")
+    for x, values in ((np.zeros((2, 3)), np.ones((2, 3))), (np.zeros(3), np.ones((1, 3))),
+                      (np.float64(0.5), np.float64(1.0))):
+        for fmt in ("dat", "json"):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                write_curve(x, values, path, fmt)
+    assert path.read_text() == "kept\n"
+
+
+def test_write_curve_refuses_a_field_named_value(tmp_path):
+    # it used to be dropped for the values list, and the key order changed
+    path = tmp_path / "kept.json"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match="'value'"):
+        write_curve(np.zeros(3), np.ones(3), path, "json", value=7)
+    assert path.read_text() == "kept\n"
 
 
 def test_write_wavefunction_propagates_path_errors(mesh101, tmp_path):
