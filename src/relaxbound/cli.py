@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import re
@@ -21,6 +22,7 @@ from .scanner import (ScanSelectionError, _closed_form, compare_wavefunction,
                       scan_diagnostics, write_curve)
 
 
+@functools.cache                # one parser per process, reused by every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relaxbound",
@@ -151,8 +153,8 @@ _COMMANDS = {"solve": _cmd_solve, "scan": _cmd_scan,
 
 
 def main(argv=None) -> int:
-    """Run one subcommand, which writes --out before it prints; the
-    failures it raises map to exit code 1 here, bad input to 2."""
+    """Run one subcommand with the process's one parser; it writes --out before
+    it prints, and the failures it raises map to exit code 1 here, bad input to 2."""
     args, extra = _build_parser().parse_known_args(argv)
     if extra:
         args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")

@@ -3,10 +3,9 @@
 Hydrogen levels and radial functions, for every (n, l), come straight
 from the Coulomb bound-state formulas.  The linear potential reduces to
 the Airy equation, so its S-wave spectrum is built on the negative zeros
-of Ai(x), tabulated below as constants (DLMF 9.9), so checking Ai at
-them tests the evaluator.  The evaluator is self-contained (power series
-inside |x| <= 8, asymptotic expansions out to |x| <= 20); the series
-runs on whole arrays, each entry stopping at its own last term.
+of Ai(x), tabulated below (DLMF 9.9); checking Ai at them tests airy_ai,
+a self-contained evaluator of a float or an array: one power-series pass
+over every |x| <= 8 entry, asymptotic expansions per point to |x| <= 20.
 """
 
 from __future__ import annotations
@@ -122,14 +121,17 @@ def _ai_asymptotic(x: float) -> float:
         math.sqrt(math.pi) * t ** 0.25)
 
 
-def airy_ai(x: float) -> float:
-    """Ai(x) for one float on |x| <= 20, _ai_series for |x| <= 8, asymptotics beyond."""
-    x = float(x)
-    if not abs(x) <= _DOMAIN_LIMIT:
-        raise ValueError(f"|x| <= {_DOMAIN_LIMIT} required, got {x}")
-    if abs(x) <= _SERIES_LIMIT:
-        return _ai_series(x)
-    return _ai_asymptotic(x)
+def airy_ai(x):
+    """Ai(x) of a float or an array on |x| <= 20: one _ai_series call for every
+    |x| <= 8 entry, _ai_asymptotic for each of the rest.  A float gives a float."""
+    xv = np.asarray(x, dtype=float)
+    if (bad := xv[~(np.abs(xv) <= _DOMAIN_LIMIT)]).size:     # NaN is bad too
+        raise ValueError(f"|x| <= {_DOMAIN_LIMIT} required, got {bad[0]}")
+    series = np.abs(xv) <= _SERIES_LIMIT
+    out = np.empty_like(xv)
+    out[series] = _ai_series(xv[series])
+    out[~series] = [_ai_asymptotic(t) for t in xv[~series].tolist()]
+    return float(out) if out.ndim == 0 else out
 
 
 def airy_zero_table(count: int = MAX_AIRY_ZEROS) -> np.ndarray:
@@ -160,19 +162,16 @@ def linear_radial(n: int, r, lam: float = LINEAR_LAMBDA, mu: float = LINEAR_MU):
     """Reduced S-wave eigenfunction u(r) = Ai(x_n*(1 - lam*r/E_n)).
 
     With E_n from linear_energy this is Ai((2*mu/lam^2)^(1/3)*(lam*r - E_n)),
-    and nothing divides by lam^2.  Beyond the evaluator's domain u is far
-    below double-precision visibility, so it is clamped to zero there.
-    A float r gives a float.  Points with |x| <= 8 go through _ai_series
-    in one call, the rest through airy_ai; each keeps airy_ai's bits.
+    and nothing divides by lam^2.  Past x = 20 u is far below double-precision
+    visibility, so it is clamped to zero there; every other point goes
+    through one airy_ai call.  A float r gives a float.
     """
     energy = linear_energy(n, lam, mu)
     rv = np.asarray(r, dtype=float)
     if not ((rv >= 0.0) & (rv < np.inf)).all():
         raise ValueError("r must be nonnegative and finite")
-    arg = airy_zero(n) * (1.0 - lam * rv / energy)
-    out = np.zeros_like(arg)
-    series = np.abs(arg) <= _SERIES_LIMIT
-    out[series] = _ai_series(arg[series])
-    for i in np.flatnonzero(~series & ~(arg > _DOMAIN_LIMIT)):
-        out.flat[i] = airy_ai(arg.flat[i])
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(over="ignore"):                  # an infinite x is past the clamp
+        arg = airy_zero(n) * (1.0 - lam * rv / energy)
+    past = arg > _DOMAIN_LIMIT
+    u = np.where(past, 0.0, airy_ai(np.where(past, 0.0, arg)))
+    return float(u) if u.ndim == 0 else u

@@ -227,7 +227,7 @@ def _closed_form(spec: ProblemSpec) -> float | None:
 def reproduce_tables(scan_steps: int = 41, mesh_points: int = 101) -> str:
     """Re-run the reference solves and scans; returns the formatted report.
 
-    Non-convergent rows are marked FAILED but never abort the report.
+    Rows that fail to converge or meet a singular block read FAILED, never aborting it.
     Scan windows cover +/-4% around each reference level.
     """
     mesh = Mesh.uniform(mesh_points)
@@ -242,8 +242,11 @@ def reproduce_tables(scan_steps: int = 41, mesh_points: int = 101) -> str:
             spec = make(n, l)
             # Coulomb guesses are quoted at the ground-state scale
             guess = start * (n + l) ** 2 if spec.kind is Potential.COULOMB else start
-            outcome = solve_bound_state(spec, mesh, guess)
-            relaxed = f"{outcome.grid.energy:<13.6f}" if outcome.converged else "FAILED       "
+            try:
+                outcome = solve_bound_state(spec, mesh, guess)
+                relaxed = f"{outcome.grid.energy:<13.6f}" if outcome.converged else "FAILED       "
+            except SingularBlockError:
+                relaxed = "FAILED       "
             lines.append(f"  {n}  {l}  {start:<13.6f} {relaxed} "
                          f"{_closed_form(spec):<13.6f}  {ref:.6f}")
         lines.append("")

@@ -1,5 +1,6 @@
 """Command-line interface, exercised in process through cli.main."""
 
+import argparse
 import json
 import math
 import os
@@ -364,6 +365,36 @@ def test_bad_choice_is_a_usage_error():
     with pytest.raises(SystemExit) as info:
         cli.main(["solve", "--potential", "cubic", "--guess", "1.0"])
     assert info.value.code == 2
+
+
+def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys):
+    # a good solve, an unknown option, then the good solve again: the parser
+    # is built at the first call only, and neither call sees another's state
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    good = ["solve", "--potential", "linear", "--guess", "5.9719", "--mesh-points", "21"]
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    first = cli.main(good), capsys.readouterr()
+    parsers = len(built)
+    assert parsers > 0
+    with pytest.raises(SystemExit) as info:
+        cli.main([*good, "--bogus"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: relaxbound solve ")
+    assert "relaxbound solve: error: unrecognized arguments: --bogus" in captured.err
+    again = cli.main(good), capsys.readouterr()
+    assert again == first
+    assert first[0] == 0 and "eigenvalue=5.971900" in first[1].out
+    assert first[1].err == ""
+    assert len(built) == parsers
 
 
 # one run of each subcommand, to which the tests below add an --out

@@ -181,6 +181,37 @@ def test_airy_rejects_out_of_domain(x):
         airy_ai(x)
 
 
+def _one_point_ai(x):
+    # the series for |x| <= 8, the asymptotic expansion beyond, one float at a time
+    return reference_ai_series(x) if abs(x) <= 8.0 else _ai_asymptotic(x)
+
+
+def test_airy_on_an_array_keeps_the_bits_of_each_branch():
+    edges = [8.0, -8.0, 20.0, -20.0, 0.0, -0.0, math.nextafter(8.0, 9.0),
+             math.nextafter(8.0, 7.0), math.nextafter(-8.0, -9.0), math.nextafter(-8.0, -7.0)]
+    xs = np.concatenate([edges, np.linspace(-20.0, 20.0, 4001)])
+    want = np.array([_one_point_ai(x) for x in xs.tolist()])
+    assert airy_ai(xs).tobytes() == want.tobytes()
+    assert airy_ai(xs[:12].reshape(3, 4)).tobytes() == want[:12].tobytes()
+    assert airy_ai(xs[:12].reshape(3, 4)).shape == (3, 4)
+    for x in edges:
+        got = airy_ai(x)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(_one_point_ai(x)).tobytes()
+        assert type(airy_ai(np.array(x))) is float and airy_ai(np.array(x)) == got
+    for shape in ((0,), (2, 0)):
+        empty = airy_ai(np.zeros(shape))
+        assert isinstance(empty, np.ndarray) and empty.shape == shape
+
+
+@pytest.mark.parametrize("bad", [20.5, -20.5, float("nan")])
+def test_airy_refuses_an_array_with_one_entry_out_of_domain(bad):
+    xs = np.linspace(-3.0, 3.0, 7)
+    xs[4] = bad
+    with pytest.raises(ValueError, match=f"got {bad}$"):   # the entry, not the array
+        airy_ai(xs)
+
+
 @pytest.mark.parametrize("x_lo, x_hi, tol", [
     (-4.0, 2.0, 1e-5),
     # deeper into the oscillatory region cancellation noise in the series,
@@ -333,6 +364,14 @@ def test_linear_radial_vanishes_at_origin():
 
 def test_linear_radial_clamps_the_far_tail_to_zero():
     assert linear_radial(1, 100.0) == 0.0
+
+
+def test_linear_radial_at_the_largest_radii_is_zero_without_a_warning():
+    # lam*r overflows to inf; the Airy argument then lies past the clamp
+    assert linear_radial(1, 1e308) == 0.0
+    assert type(linear_radial(1, 1e308)) is float
+    u = linear_radial(2, np.array([0.0, 1e308, np.finfo(float).max]))
+    assert u[0] == linear_radial(2, 0.0) and u[1] == u[2] == 0.0
 
 
 def test_linear_radial_preserves_shape():

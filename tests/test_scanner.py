@@ -9,10 +9,10 @@ import pytest
 
 from relaxbound import (LINEAR_LAMBDA, LINEAR_MU, MAX_AIRY_ZEROS, Mesh, ProblemSpec,
                         RelaxConfig, ScanEntry, ScanReport, ScanSelectionError,
-                        SolutionGrid, airy_ai, compare_wavefunction, hydrogen_radial,
-                        level_guess, linear_energy, map_x_to_z, reproduce_tables,
-                        roughness, sample_exact_curve, scan, scan_diagnostics,
-                        write_curve)
+                        SingularBlockError, SolutionGrid, airy_ai, compare_wavefunction,
+                        hydrogen_radial, level_guess, linear_energy, map_x_to_z,
+                        reproduce_tables, roughness, sample_exact_curve, scan,
+                        scan_diagnostics, write_curve)
 from relaxbound.relax import DifferenceBlock
 from relaxbound.scanner import (REFERENCE_COULOMB, REFERENCE_LINEAR,
                                 REFERENCE_SCAN_LINEAR, _closed_form, _select)
@@ -436,3 +436,26 @@ def test_reproduce_tables_marks_a_scan_without_a_converged_guess_failed(monkeypa
     report = reproduce_tables(scan_steps=5, mesh_points=21)
     rows = [line.split() for line in report.splitlines() if "FAILED" in line]
     assert rows == [[str(l), "FAILED", f"{ref:.4f}"] for l, ref in REFERENCE_SCAN_LINEAR]
+
+
+def test_reproduce_tables_marks_a_singular_direct_solve_failed(monkeypatch):
+    import relaxbound.scanner as scanner_mod
+
+    solve = scanner_mod.solve_bound_state
+    n, l, start, ref = REFERENCE_COULOMB[2]
+
+    def singular_for_one(spec, mesh, guess):
+        if spec == ProblemSpec.coulomb(n, l):
+            raise SingularBlockError(4)
+        return solve(spec, mesh, guess)
+
+    plain = reproduce_tables(scan_steps=5, mesh_points=21).splitlines()
+    monkeypatch.setattr(scanner_mod, "solve_bound_state", singular_for_one)
+    marked = reproduce_tables(scan_steps=5, mesh_points=21).splitlines()
+    assert len(marked) == len(plain)
+    changed = [i for i, (a, b) in enumerate(zip(plain, marked)) if a != b]
+    assert len(changed) == 1
+    row = marked[changed[0]]
+    assert len(row) == len(plain[changed[0]])         # the columns stay aligned
+    assert row.split() == [str(n), str(l), f"{start:.6f}", "FAILED",
+                           f"{_closed_form(ProblemSpec.coulomb(n, l)):.6f}", f"{ref:.6f}"]
