@@ -156,6 +156,8 @@ class ProblemSpec:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.kind, Potential):
+            raise ValueError(f"kind must be a Potential, not {self.kind!r}")
         if not (0.0 < self.mu < np.inf and 0.0 < self.coupling < np.inf):
             raise ValueError("mu and coupling must be positive and finite")
         if not (_is_count(self.n) and _is_count(self.l)):

@@ -176,7 +176,7 @@ def normalized_builder(mesh: Mesh, spec: ProblemSpec) -> BlockBuilder:
 ORIGINAL, NORMALIZED = "original", "normalized"
 
 
-def is_normalized(formulation: str) -> bool:
+def _is_normalized(formulation: str) -> bool:
     """True for "normalized", False for "original"; ValueError otherwise."""
     if formulation not in (ORIGINAL, NORMALIZED):
         raise ValueError(f"formulation must be {ORIGINAL!r} or {NORMALIZED!r}, "
@@ -205,7 +205,7 @@ def initial_guess(spec: ProblemSpec, mesh: Mesh, e_guess: float,
     normalised formulation adds y4, the running midpoint integral of
     y1^2, with y1 and y2 scaled so that y4(1) = 1.
     """
-    normalized = is_normalized(formulation)
+    normalized = _is_normalized(formulation)
     if spec.kind is Potential.COULOMB:
         waves = spec.n - spec.l
         if waves < 1:
@@ -235,7 +235,7 @@ def default_config(spec: ProblemSpec, e_guess: float,
     conv = 1e-5 if spec.kind is Potential.COULOMB else 1e-6
     scale = abs(level_guess(spec, e_guess))
     scalv = (1.0, 1.0, scale if scale > 0.0 else 1.0)
-    if is_normalized(formulation):
+    if _is_normalized(formulation):
         scalv += (1.0,)
     return RelaxConfig(itmax=100, conv=conv, slowc=1.0, scalv=scalv)
 
@@ -252,6 +252,6 @@ def solve_bound_state(spec: ProblemSpec, mesh: Mesh, e_guess: float,
     start = initial_guess(spec, mesh, e_guess, formulation)
     if config is None:
         config = default_config(spec, e_guess, formulation)
-    build = (normalized_builder(mesh, spec) if is_normalized(formulation)
+    build = (normalized_builder(mesh, spec) if _is_normalized(formulation)
              else block_builder(mesh, spec))
     return relax(build, start, config)

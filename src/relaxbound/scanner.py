@@ -20,9 +20,8 @@ from .grid import (Mesh, Potential, ProblemSpec, RelaxConfig, SolutionGrid, _is_
                    map_x_to_z)
 from .oracles import (MAX_AIRY_ZEROS, hydrogen_energy, hydrogen_radial, linear_energy,
                       linear_radial)
-from .problems import (ORIGINAL, block_builder, default_config, initial_guess,
-                       is_normalized, level_guess, normalized_builder,
-                       solve_bound_state)
+from .problems import (ORIGINAL, _is_normalized, block_builder, default_config,
+                       initial_guess, level_guess, normalized_builder, solve_bound_state)
 # relax stays importable here: bench/spans.py wraps scanner.relax by name
 from .relax import SingularBlockError, relax, relax_batch
 
@@ -100,7 +99,7 @@ def scan(spec: ProblemSpec, mesh: Mesh, config: RelaxConfig | None,
         raise ValueError("need finite e_min < e_max")
     if not _is_count(steps) or steps < 2:
         raise ValueError("need an integer count of at least two scan steps")
-    build = (normalized_builder(mesh, spec) if is_normalized(formulation)
+    build = (normalized_builder(mesh, spec) if _is_normalized(formulation)
              else block_builder(mesh, spec))
     guesses = [float(g) for g in np.linspace(e_min, e_max, steps)]
     configs = [default_config(spec, guess, formulation) if config is None

@@ -160,6 +160,13 @@ def test_linear_spec_defaults():
     assert (spec.n, spec.l) == (2, 1)
 
 
+@pytest.mark.parametrize("kind", ["coulomb", None])
+def test_spec_rejects_a_kind_that_is_not_a_potential(kind):
+    # caught here, not later in assembly as a KeyError on the potential term
+    with pytest.raises(ValueError, match="Potential"):
+        ProblemSpec(kind=kind, mu=1.0, coupling=1.0, l=0, n=1)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"mu": 0.0}, {"mu": -1.0}, {"coupling": 0.0},
 ])
