@@ -18,14 +18,15 @@ __version__ = "0.1.0"
 _EXPORTS = {     # each submodule and the public names it defines
     "grid": "HYDROGEN_E2 HYDROGEN_MU LINEAR_LAMBDA LINEAR_MU Mesh Potential ProblemSpec"
             " RelaxConfig SolutionGrid map_x_to_z map_z_to_x",
-    "oracles": "MAX_AIRY_ZEROS airy_ai airy_zero airy_zero_table hydrogen_energy"
-               " hydrogen_radial linear_energy linear_radial",
+    "oracles": "MAX_AIRY_ZEROS airy_ai airy_zero airy_zero_table exact_level"
+               " hydrogen_energy hydrogen_radial linear_energy linear_radial"
+               " sample_exact_curve",
     "problems": "BlockBuilder block_builder default_config initial_guess level_guess"
                 " normalized_builder solve_bound_state",
     "relax": "DifferenceBlock RelaxOutcome SingularBlockError relax relax_batch"
              " solve_block_system",
     "scanner": "ScanEntry ScanReport ScanSelectionError compare_wavefunction reproduce_tables"
-               " roughness sample_exact_curve scan scan_diagnostics write_curve",
+               " roughness scan scan_diagnostics write_curve",
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = list(_OWNER)

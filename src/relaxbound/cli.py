@@ -13,13 +13,13 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .grid import Mesh, ProblemSpec
-# kept importable here: bench/spans.py wraps cli.hydrogen_energy and cli.linear_energy
-from .oracles import hydrogen_energy, linear_energy
+from .oracles import exact_level, sample_exact_curve
 from .problems import solve_bound_state
 from .relax import SingularBlockError
-from .scanner import (ScanSelectionError, _closed_form, compare_wavefunction,
-                      reproduce_tables, sample_exact_curve, scan,
+from .scanner import (ScanSelectionError, compare_wavefunction, reproduce_tables, scan,
                       scan_diagnostics, write_curve)
+# kept importable here: bench/spans.py wraps cli.hydrogen_energy and cli.linear_energy
+from .oracles import hydrogen_energy, linear_energy
 
 
 @functools.cache                # one parser per process, reused by every main call
@@ -129,7 +129,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_oracle(args) -> int:
     spec = _make_spec(args)
-    energy = _closed_form(spec)
+    energy = exact_level(spec)
     if energy is None:
         raise ValueError(f"no closed form for {args.potential} n={args.n} l={args.l}")
     if args.out:

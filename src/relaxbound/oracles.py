@@ -5,7 +5,8 @@ from the Coulomb bound-state formulas.  The linear potential reduces to
 the Airy equation, so its S-wave spectrum is built on the negative zeros
 of Ai(x), tabulated below (DLMF 9.9); checking Ai at them tests airy_ai,
 a self-contained evaluator of a float or an array: one power-series pass
-over every |x| <= 8 entry, asymptotic expansions per point to |x| <= 20.
+over the |x| <= 8 entries, one asymptotic pass over the rest to |x| <= 20.
+exact_level holds the one rule for which states have a closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import math
 
 import numpy as np
 
-from .grid import LINEAR_LAMBDA, LINEAR_MU, ProblemSpec, _is_count
+from .grid import (LINEAR_LAMBDA, LINEAR_MU, Mesh, Potential, ProblemSpec, _is_count,
+                   map_x_to_z)
 
 _AI_ZERO = 3.0 ** (-2.0 / 3.0) / math.gamma(2.0 / 3.0)        # Ai(0)
 _AIP_ZERO = -(3.0 ** (-1.0 / 3.0)) / math.gamma(1.0 / 3.0)    # Ai'(0)
@@ -85,52 +87,42 @@ def _ai_series(x):
     return float(ai) if ai.ndim == 0 else ai
 
 
-def _asymptotic_terms(zeta: float):
-    """Terms u_k/zeta^k of the large-|x| expansion, truncated at the
-    smallest term (the series is asymptotic, not convergent)."""
-    terms = [1.0]
-    term = 1.0
-    for k in range(1, 60):
-        term *= (3 * k - 2.5) * (3 * k - 1.5) * (3 * k - 0.5) / (54.0 * k * (k - 0.5) * zeta)
-        if abs(term) >= abs(terms[-1]):
-            break
-        terms.append(term)
-        if abs(term) < 1e-18:
-            break
-    return terms
-
-
-def _ai_asymptotic(x: float) -> float:
-    if x > 0.0:
-        zeta = 2.0 / 3.0 * x ** 1.5
-        total = 0.0
-        for k, t in enumerate(_asymptotic_terms(zeta)):
-            total += t if k % 2 == 0 else -t
-        return math.exp(-zeta) * total / (2.0 * math.sqrt(math.pi) * x ** 0.25)
-    t = -x
+def _ai_asymptotic(x: np.ndarray) -> np.ndarray:
+    """Ai by its large-|x| expansions on an array.  They are asymptotic, not
+    convergent: each entry stops before its first term no smaller than the last
+    or after its first below 1e-18, adding its terms as one point alone would."""
+    t, neg = np.abs(x), x < 0.0
     zeta = 2.0 / 3.0 * t ** 1.5
-    even = odd = 0.0
-    for k, term in enumerate(_asymptotic_terms(zeta)):
-        sign = 1.0 if (k // 2) % 2 == 0 else -1.0
-        if k % 2 == 0:
-            even += sign * term
-        else:
-            odd += sign * term
-    phase = zeta + 0.25 * math.pi
-    return (math.sin(phase) * even - math.cos(phase) * odd) / (
-        math.sqrt(math.pi) * t ** 0.25)
+    term, live = np.ones_like(t), np.ones(t.shape, dtype=bool)
+    # x > 0 sums (-1)^k u_k in sums[0]; x < 0 sums (-1)^(k//2) u_k by k's parity
+    sums = np.stack([np.ones_like(t), np.zeros_like(t)])
+    for k in range(1, 60):
+        last = abs(term)
+        np.multiply(term, (3 * k - 2.5) * (3 * k - 1.5) * (3 * k - 0.5)
+                    / (54.0 * k * (k - 0.5) * zeta), out=term, where=live)
+        live &= abs(term) < last
+        signed = term * np.where(neg, (-1.0) ** (k // 2), (-1.0) ** k)
+        odd = neg & (k % 2 == 1)
+        np.add(sums[0], signed, out=sums[0], where=live & ~odd)
+        np.add(sums[1], signed, out=sums[1], where=live & odd)
+        live &= abs(term) >= 1e-18
+        if not live.any():
+            break
+    phase, scale = zeta + 0.25 * math.pi, math.sqrt(math.pi) * t ** 0.25
+    return np.where(neg, (np.sin(phase) * sums[0] - np.cos(phase) * sums[1]) / scale,
+                    np.exp(-zeta) * sums[0] / (2.0 * scale))
 
 
 def airy_ai(x):
-    """Ai(x) of a float or an array on |x| <= 20: one _ai_series call for every
-    |x| <= 8 entry, _ai_asymptotic for each of the rest.  A float gives a float."""
+    """Ai(x) of a float or an array on |x| <= 20: one _ai_series call for the
+    |x| <= 8 entries, one _ai_asymptotic call for the rest.  A float gives a float."""
     xv = np.asarray(x, dtype=float)
     if (bad := xv[~(np.abs(xv) <= _DOMAIN_LIMIT)]).size:     # NaN is bad too
         raise ValueError(f"|x| <= {_DOMAIN_LIMIT} required, got {bad[0]}")
     series = np.abs(xv) <= _SERIES_LIMIT
     out = np.empty_like(xv)
     out[series] = _ai_series(xv[series])
-    out[~series] = [_ai_asymptotic(t) for t in xv[~series].tolist()]
+    out[~series] = _ai_asymptotic(xv[~series])
     return float(out) if out.ndim == 0 else out
 
 
@@ -175,3 +167,23 @@ def linear_radial(n: int, r, lam: float = LINEAR_LAMBDA, mu: float = LINEAR_MU):
     past = arg > _DOMAIN_LIMIT
     u = np.where(past, 0.0, airy_ai(np.where(past, 0.0, arg)))
     return float(u) if u.ndim == 0 else u
+
+
+def exact_level(spec: ProblemSpec) -> float | None:
+    """Closed-form level of spec, or None: every Coulomb state has one, a
+    linear state only at l = 0 and n <= MAX_AIRY_ZEROS."""
+    if spec.kind is Potential.COULOMB:
+        return hydrogen_energy(spec.n, spec.l, spec)
+    if spec.l == 0 and spec.n <= MAX_AIRY_ZEROS:
+        return linear_energy(spec.n, spec.coupling, spec.mu)
+    return None
+
+
+def sample_exact_curve(spec: ProblemSpec, mesh: Mesh) -> np.ndarray | None:
+    """Closed-form reduced wavefunction on the mesh (0 at x = 1) or None."""
+    if exact_level(spec) is None:
+        return None
+    z = map_x_to_z(mesh.x[:-1])
+    u = (hydrogen_radial(spec.n, spec.l, z) if spec.kind is Potential.COULOMB
+         else linear_radial(spec.n, z, lam=spec.coupling, mu=spec.mu))
+    return np.append(u, 0.0)

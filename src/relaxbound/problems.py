@@ -197,11 +197,13 @@ def level_guess(spec: ProblemSpec, e_guess: float) -> float:
 
 def initial_guess(spec: ProblemSpec, mesh: Mesh, e_guess: float,
                   formulation: str = ORIGINAL) -> SolutionGrid:
-    """Half-wave starting profile with the right number of interior nodes.
+    """Half-wave starting profile: n - l half-waves for Coulomb states
+    (n - l >= 1 required), n for linear ones.
 
-    Coulomb states use n - l half-waves (n - l >= 1 required), linear
-    states use n.  The x = 1 endpoint is forced to zero so the starting
-    grid satisfies the right boundary conditions exactly.  The
+    The (n, l) level has n - 1 interior nodes, so a Coulomb start with
+    l > 0 has l fewer than its level (ROADMAP item 4).  The x = 1
+    endpoint is forced to zero so the starting grid satisfies the right
+    boundary conditions exactly.  The
     normalised formulation adds y4, the running midpoint integral of
     y1^2, with y1 and y2 scaled so that y4(1) = 1.
     """

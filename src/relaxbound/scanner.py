@@ -16,14 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (Mesh, Potential, ProblemSpec, RelaxConfig, SolutionGrid, _is_count,
-                   map_x_to_z)
-from .oracles import (MAX_AIRY_ZEROS, hydrogen_energy, hydrogen_radial, linear_energy,
-                      linear_radial)
+from .grid import Mesh, Potential, ProblemSpec, RelaxConfig, SolutionGrid, _is_count
+from .oracles import exact_level
 from .problems import (ORIGINAL, _is_normalized, block_builder, default_config,
                        initial_guess, level_guess, normalized_builder, solve_bound_state)
-# relax stays importable here: bench/spans.py wraps scanner.relax by name
-from .relax import SingularBlockError, relax, relax_batch
+from .relax import SingularBlockError, relax_batch
+# hydrogen_energy, linear_energy and relax stay importable: bench/spans.py wraps them here
+from .oracles import hydrogen_energy, linear_energy
+from .relax import relax
 
 
 def roughness(grid: SolutionGrid) -> float:
@@ -150,16 +150,6 @@ def compare_wavefunction(relaxed: SolutionGrid, exact: np.ndarray) -> float:
     return float(math.sqrt(np.mean(diff * diff)))
 
 
-def sample_exact_curve(spec: ProblemSpec, mesh: Mesh) -> np.ndarray | None:
-    """Closed-form reduced wavefunction on the mesh (0 at x = 1) or None."""
-    if not _has_closed_form(spec):
-        return None
-    z = map_x_to_z(mesh.x[:-1])
-    u = (hydrogen_radial(spec.n, spec.l, z) if spec.kind is Potential.COULOMB
-         else linear_radial(spec.n, z, lam=spec.coupling, mu=spec.mu))
-    return np.append(u, 0.0)
-
-
 def write_curve(x: np.ndarray, values: np.ndarray, path, fmt: str = "dat",
                 **fields) -> None:
     """Write a curve with its values normalised to unit peak |value|.
@@ -211,18 +201,6 @@ REFERENCE_SCAN_LINEAR = (
 )
 
 
-def _has_closed_form(spec: ProblemSpec) -> bool:
-    """Every Coulomb state has a closed form; a linear one at l = 0, n <= MAX_AIRY_ZEROS."""
-    return spec.kind is Potential.COULOMB or (spec.l == 0 and spec.n <= MAX_AIRY_ZEROS)
-
-
-def _closed_form(spec: ProblemSpec) -> float | None:
-    if not _has_closed_form(spec):
-        return None
-    return (hydrogen_energy(spec.n, spec.l, spec) if spec.kind is Potential.COULOMB
-            else linear_energy(spec.n, spec.coupling, spec.mu))
-
-
 def reproduce_tables(scan_steps: int = 41, mesh_points: int = 101) -> str:
     """Re-run the reference solves and scans; returns the formatted report.
 
@@ -247,7 +225,7 @@ def reproduce_tables(scan_steps: int = 41, mesh_points: int = 101) -> str:
             except SingularBlockError:
                 relaxed = "FAILED       "
             lines.append(f"  {n}  {l}  {start:<13.6f} {relaxed} "
-                         f"{_closed_form(spec):<13.6f}  {ref:.6f}")
+                         f"{exact_level(spec):<13.6f}  {ref:.6f}")
         lines.append("")
 
     lines.append(f"smoothness scans, linear potential, n=1 "
@@ -261,7 +239,7 @@ def reproduce_tables(scan_steps: int = 41, mesh_points: int = 101) -> str:
             lines.append(f"  {l}  FAILED                                       "
                          f"        {ref:.4f}")
             continue
-        exact = _closed_form(spec)
+        exact = exact_level(spec)
         exact_txt = f"{exact:<13.6f}" if exact is not None else "-            "
         lines.append(f"  {l}  {report.selected_guess:<13.6f}  "
                      f"{report.selected_relaxed:<13.6f} {exact_txt}  {ref:.4f}")

@@ -66,6 +66,14 @@ def test_the_benchmark_set_up_loads_only_grid_and_oracles():
     assert loaded_after(setup) == {"relaxbound", "relaxbound.grid", "relaxbound.oracles"}
 
 
+def test_closed_forms_load_only_grid_and_oracles():
+    # the benchmark's set-up imports oracles, which must stay free of the solver
+    code = ("import relaxbound\nspec = relaxbound.ProblemSpec.linear(1, 0)\n"
+            "assert relaxbound.exact_level(spec) > 0.0\n"
+            "assert relaxbound.sample_exact_curve(spec, relaxbound.Mesh.uniform(21)) is not None")
+    assert loaded_after(code) == {"relaxbound", "relaxbound.grid", "relaxbound.oracles"}
+
+
 def test_the_helper_loads_only_the_elimination():
     bootstrap = "from relaxbound.relax import _serve"
     relax_mod = import_module("relaxbound.relax")

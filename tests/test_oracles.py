@@ -157,7 +157,7 @@ def test_airy_series_and_asymptotics_agree_on_the_overlap_band():
     for x in np.concatenate([np.linspace(7.6, 8.4, 17),
                              np.linspace(-8.4, -7.6, 17)]):
         assert _ai_series(float(x)) == pytest.approx(
-            _ai_asymptotic(float(x)), abs=1e-9)
+            _ai_asymptotic(np.array([x]))[0], abs=1e-9)
 
 
 def test_airy_series_on_an_array_keeps_every_scalar_bit():
@@ -182,8 +182,12 @@ def test_airy_rejects_out_of_domain(x):
 
 
 def _one_point_ai(x):
-    # the series for |x| <= 8, the asymptotic expansion beyond, one float at a time
-    return reference_ai_series(x) if abs(x) <= 8.0 else _ai_asymptotic(x)
+    # the series for |x| <= 8, the asymptotic expansion beyond, one point at a
+    # time; beyond, a one-element array, as numpy's exp and sin on a float may
+    # differ in the last bit from its array kernels
+    if abs(x) <= 8.0:
+        return reference_ai_series(x)
+    return float(_ai_asymptotic(np.array([x]))[0])
 
 
 def test_airy_on_an_array_keeps_the_bits_of_each_branch():

@@ -10,12 +10,12 @@ import pytest
 from relaxbound import (LINEAR_LAMBDA, LINEAR_MU, MAX_AIRY_ZEROS, Mesh, ProblemSpec,
                         RelaxConfig, ScanEntry, ScanReport, ScanSelectionError,
                         SingularBlockError, SolutionGrid, airy_ai, compare_wavefunction,
-                        hydrogen_radial, level_guess, linear_energy, map_x_to_z,
-                        reproduce_tables, roughness, sample_exact_curve, scan,
-                        scan_diagnostics, write_curve)
+                        exact_level, hydrogen_energy, hydrogen_radial, level_guess,
+                        linear_energy, map_x_to_z, reproduce_tables, roughness,
+                        sample_exact_curve, scan, scan_diagnostics, write_curve)
 from relaxbound.relax import DifferenceBlock
 from relaxbound.scanner import (REFERENCE_COULOMB, REFERENCE_LINEAR,
-                                REFERENCE_SCAN_LINEAR, _closed_form, _select)
+                                REFERENCE_SCAN_LINEAR, _select)
 
 
 def _grid_from_wave(mesh, wave, energy=-1.0):
@@ -304,11 +304,24 @@ def test_sample_exact_curve_linear_matches_the_scaled_airy_argument(mesh101):
 
 
 def test_sample_exact_curve_rejects_spinning_linear_states(mesh101):
-    # no closed form for l > 0 or past the tabulated Airy zeros, as
-    # _closed_form says for the same state
-    for n, l in [(1, 1), (MAX_AIRY_ZEROS + 1, 0)]:
-        assert sample_exact_curve(ProblemSpec.linear(n, l), mesh101) is None
-        assert _closed_form(ProblemSpec.linear(n, l)) is None
+    # a linear state has a curve and a level only at l = 0 within the
+    # tabulated Airy zeros, every Coulomb state has both: one rule for each
+    linear = [ProblemSpec.linear(n, l) for n in (1, MAX_AIRY_ZEROS, MAX_AIRY_ZEROS + 1)
+              for l in (0, 1)]
+    coulomb = [ProblemSpec.coulomb(n, l) for n, l in ((1, 0), (1, 1), (3, 2))]
+    for spec in linear + coulomb:
+        level, curve = exact_level(spec), sample_exact_curve(spec, mesh101)
+        assert (level is None) == (curve is None), spec
+        if spec in coulomb:
+            assert level == hydrogen_energy(spec.n, spec.l)
+        elif spec.l == 0 and spec.n <= MAX_AIRY_ZEROS:
+            assert level == linear_energy(spec.n)
+        else:
+            assert level is None
+    huge = ProblemSpec.coulomb(1, 0, mu=1e-100, coupling=1e300)     # its level overflows
+    for closed_form in (exact_level, lambda spec: sample_exact_curve(spec, mesh101)):
+        with pytest.raises(ValueError, match="overflows"):
+            closed_form(huge)
 
 
 # ----------------------------------------------------------- file output --
@@ -458,4 +471,4 @@ def test_reproduce_tables_marks_a_singular_direct_solve_failed(monkeypatch):
     row = marked[changed[0]]
     assert len(row) == len(plain[changed[0]])         # the columns stay aligned
     assert row.split() == [str(n), str(l), f"{start:.6f}", "FAILED",
-                           f"{_closed_form(ProblemSpec.coulomb(n, l)):.6f}", f"{ref:.6f}"]
+                           f"{exact_level(ProblemSpec.coulomb(n, l)):.6f}", f"{ref:.6f}"]
