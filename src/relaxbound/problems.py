@@ -35,12 +35,14 @@ real eigenstate whose level converges as O(h^2) (the normalisation
 condition of sfroid, Numerical Recipes section 17.4).
 
 block_builder and normalized_builder bind mesh and spec into the
-problem relax takes.  Its assemble_batch(y, lo, hi) builds rows lo..hi-1
-(by default all M+1) of the Newton sweeps of a stack of grids, row k-1
-of a sweep holding block k: the engine asks for a group of grids' whole
-sweeps, or for a sweep longer than GROUP_BLOCKS one slab at a time.
-assemble(grid) is its one-grid case, and calling the builder as (k, grid)
-returns block k from the aligned slab of GROUP_BLOCKS rows that holds it.
+problem relax takes.  It reads N, left and its boundary rows from _ENDS,
+one table of end conditions per formulation.  Its assemble_batch(y, lo,
+hi) builds rows lo..hi-1 (by default all M+1) of the Newton sweeps of a
+stack of grids, row k-1 of a sweep holding block k: the engine asks for
+a group of grids' whole sweeps, or for a sweep longer than GROUP_BLOCKS
+one slab at a time.  assemble(grid) is its one-grid case, and calling
+the builder as (k, grid) returns block k from the aligned slab of
+GROUP_BLOCKS rows that holds it.
 """
 
 from __future__ import annotations
@@ -59,6 +61,11 @@ _TERMS = {
     Potential.LINEAR: lambda xbar, omx, spec: xbar / omx * spec.coupling,
 }
 
+# Each formulation's end conditions y_u = value, keyed by normalized: (u, value)
+# pairs at x = 0, then at x = 1.  N is their count, left the unknowns at x = 0.
+_ENDS = {False: (((0, 0.0),), ((0, 0.0), (1, 0.0))),
+         True: (((0, 0.0), (3, 0.0)), ((0, 0.0), (3, 1.0)))}
+
 
 class BlockBuilder:
     """Mesh and physics bound into the problem relax expects.
@@ -71,12 +78,13 @@ class BlockBuilder:
     refuse a grid whose point count is not the mesh's.  Calling the
     builder as (k, grid) returns block k of the grid's sweep from the one
     slab it keeps, the aligned GROUP_BLOCKS rows that hold k, assembled
-    when grid or slab changes.  left names the unknowns the left rows pin.
+    when grid or slab changes.  N, left and the boundary rows come from _ENDS.
     """
 
     def __init__(self, mesh: Mesh, spec: ProblemSpec, normalized: bool = False):
         self.mesh, self.spec, self.normalized = mesh, spec, normalized
-        self.left = (0, 3) if normalized else (0,)
+        self._ends = _ENDS[normalized]
+        self.left = tuple(u for u, _ in self._ends[0])
         self._grid = self._blocks = self._lo = None
         xbar = 0.5 * (mesh.x[:-1] + mesh.x[1:])
         omx = 1.0 - xbar
@@ -105,24 +113,15 @@ class BlockBuilder:
             raise ValueError(f"grids of {y.shape[-1]} points on a mesh of {m}")
         hi = m + 1 if hi is None else min(hi, m + 1)
         h, normalized = self.mesh.h, self.normalized
-        n = 4 if normalized else 3
+        first, last = self._ends
+        n = len(first) + len(last)
         c, rhs = n, 2 * n           # first column of point k; residual column
         s = np.zeros((y.shape[0], hi - lo, n, rhs + 1))
-        if lo == 0:                 # y1 = 0 at x = 0; its rows are the block's last
-            s[:, 0, 2, c] = 1.0
-            s[:, 0, 2, rhs] = y[:, 0, 0]
-            if normalized:          # y4 = 0 at x = 0
-                s[:, 0, 3, c + 3] = 1.0
-                s[:, 0, 3, rhs] = y[:, 3, 0]
-        if hi == m + 1:             # y1 = 0 at x = 1
-            s[:, -1, 0, c] = 1.0
-            s[:, -1, 0, rhs] = y[:, 0, -1]
-            if normalized:          # y4 = 1 at x = 1
-                s[:, -1, 1, c + 3] = 1.0
-                s[:, -1, 1, rhs] = y[:, 3, -1] - 1.0
-            else:                   # y2 = 0 at x = 1
-                s[:, -1, 1, c + 1] = 1.0
-                s[:, -1, 1, rhs] = y[:, 1, -1]
+        # x = 0's conditions fill block 1's last rows, x = 1's block M+1's first
+        for held, k, top, conds in ((lo == 0, 0, -len(first), first), (hi == m + 1, -1, 0, last)):
+            for row, (u, value) in enumerate(conds if held else (), top):
+                s[:, k, row, c + u] = 1.0
+                s[:, k, row, rhs] = y[:, u, k] - value
 
         a, z = max(lo, 1) - 1, min(hi, m) - 1       # the slab's intervals a..z-1
         yl, yr = y[:, :, a:z], y[:, :, a + 1:z + 1]
@@ -201,11 +200,10 @@ def initial_guess(spec: ProblemSpec, mesh: Mesh, e_guess: float,
     (n - l >= 1 required), n for linear ones.
 
     The (n, l) level has n - 1 interior nodes, so a Coulomb start with
-    l > 0 has l fewer than its level (ROADMAP item 4).  The x = 1
-    endpoint is forced to zero so the starting grid satisfies the right
-    boundary conditions exactly.  The
-    normalised formulation adds y4, the running midpoint integral of
-    y1^2, with y1 and y2 scaled so that y4(1) = 1.
+    l > 0 has l fewer than its level (ROADMAP item 4).  Both formulations
+    start with y1(1) = y2(1) = 0, though y2(1) = 0 is not a normalised
+    condition.  The normalised formulation adds y4, the running midpoint
+    integral of y1^2, with y1 and y2 scaled so that y4(1) = 1.
     """
     normalized = _is_normalized(formulation)
     if spec.kind is Potential.COULOMB:

@@ -52,6 +52,7 @@ import numpy as np
 from .grid import RelaxConfig, SolutionGrid
 
 LEFT = (0,)                     # unknowns pinned at x = 0 unless the problem says
+_HEAD = struct.Struct("4q")     # a helper request: groups, intervals, N, len(left)
 
 
 class SingularBlockError(ArithmeticError):
@@ -373,9 +374,9 @@ class _Helper:
         return None if self.proc is None else self
 
     def send(self, s: np.ndarray, left):
-        head = struct.pack(f"4q{len(left)}q", len(s), s.shape[1] - 1, s.shape[2], len(left), *left)
+        head = _HEAD.pack(len(s), s.shape[1] - 1, s.shape[2], len(left))
         try:
-            self.proc.stdin.writelines([head, s])
+            self.proc.stdin.writelines([head, struct.pack(f"{len(left)}q", *left), s])
             self.proc.stdin.flush()
         except BrokenPipeError as exc:
             raise RuntimeError("the elimination helper died") from exc
@@ -401,8 +402,8 @@ def _serve():
     src, dst = sys.stdin.buffer, sys.stdout.buffer
     dst.write(b"R")
     dst.flush()
-    while head := src.read(32):
-        g, m, n, nl = struct.unpack("4q", head)
+    while head := src.read(_HEAD.size):
+        g, m, n, nl = _HEAD.unpack(head)
         left = struct.unpack(f"{nl}q", src.read(8 * nl))
         s = np.frombuffer(src.read(8 * g * (m + 1) * n * (2 * n + 1)))
         dy, singular = np.zeros((g, n, m)), np.zeros(g, dtype=np.int64)

@@ -40,6 +40,24 @@ def test_right_sentinel_block_pins_value_and_slope(mesh101, rng, coulomb_1s):
     assert np.array_equal(s, expect)
 
 
+@pytest.mark.parametrize("make", [block_builder, normalized_builder],
+                         ids=["original", "normalized"])
+def test_left_names_the_unknowns_the_first_block_pins(make, mesh101, rng, coulomb_1s):
+    # the elimination takes block 1's last len(left) rows to pin exactly the
+    # unknowns in left, in order, and block M+1 to hold the other N - len(left)
+    build = make(mesh101, coulomb_1s)
+    n = 4 if build.normalized else 3
+    s = build.assemble(smooth_grid(mesh101, rng, energy_scale=13.6, n_vars=n))
+    first, last = s[0, :, :2 * n], s[-1, :, :2 * n]
+    pinned = []
+    for row in first[n - len(build.left):]:
+        (col,) = np.flatnonzero(row)
+        assert row[col] == 1.0 and col >= n
+        pinned.append(col - n)
+    assert tuple(pinned) == build.left
+    assert len(build.left) + np.count_nonzero(last.any(axis=1)) == n
+
+
 @pytest.mark.parametrize("k", [0, -1, 103, 500])
 def test_block_index_outside_range_is_rejected(mesh101, rng, coulomb_1s, k):
     grid = smooth_grid(mesh101, rng)
