@@ -34,9 +34,9 @@ The inhomogeneous y4(1) = 1 rules out y = 0, so Newton relaxes to a
 real eigenstate whose level converges as O(h^2) (the normalisation
 condition of sfroid, Numerical Recipes section 17.4).
 
-block_builder and normalized_builder bind mesh and spec into the
-problem relax takes.  It reads N, left and its boundary rows from _ENDS,
-one table of end conditions per formulation.  Its assemble_batch(y, lo,
+BlockBuilder(mesh, spec, formulation) binds mesh and spec into the problem
+relax takes, reading N, left, its boundary rows and its drift sign from
+_FORMULATIONS, one entry per formulation.  Its assemble_batch(y, lo,
 hi) builds rows lo..hi-1 (by default all M+1) of the Newton sweeps of a
 stack of grids, row k-1 of a sweep holding block k: the engine asks for
 a group of grids' whole sweeps, or for a sweep longer than GROUP_BLOCKS
@@ -61,10 +61,20 @@ _TERMS = {
     Potential.LINEAR: lambda xbar, omx, spec: xbar / omx * spec.coupling,
 }
 
-# Each formulation's end conditions y_u = value, keyed by normalized: (u, value)
-# pairs at x = 0, then at x = 1.  N is their count, left the unknowns at x = 0.
-_ENDS = {False: (((0, 0.0),), ((0, 0.0), (1, 0.0))),
-         True: (((0, 0.0), (3, 0.0)), ((0, 0.0), (3, 1.0)))}
+ORIGINAL, NORMALIZED = "original", "normalized"
+
+# Each formulation's end conditions y_u = value as (u, value) pairs at x = 0, then
+# at x = 1 (N is their count, left the unknowns at x = 0), and E2's drift sign
+_FORMULATIONS = {ORIGINAL: (((0, 0.0),), ((0, 0.0), (1, 0.0)), 1.0),
+                 NORMALIZED: (((0, 0.0), (3, 0.0)), ((0, 0.0), (3, 1.0)), -1.0)}
+
+
+def _formulation(name: str) -> tuple:
+    """(x = 0 ends, x = 1 ends, drift sign, N) of a formulation; ValueError if unknown."""
+    if name not in (ORIGINAL, NORMALIZED):
+        raise ValueError(f"formulation must be 'original' or 'normalized', not {name!r}")
+    first, last, sign = _FORMULATIONS[name]
+    return first, last, sign, len(first) + len(last)
 
 
 class BlockBuilder:
@@ -78,13 +88,14 @@ class BlockBuilder:
     refuse a grid whose point count is not the mesh's.  Calling the
     builder as (k, grid) returns block k of the grid's sweep from the one
     slab it keeps, the aligned GROUP_BLOCKS rows that hold k, assembled
-    when grid or slab changes.  N, left and the boundary rows come from _ENDS.
+    when grid or slab changes.  N, left, the boundary rows and the drift
+    sign come from the _FORMULATIONS entry of formulation, a public name.
     """
 
-    def __init__(self, mesh: Mesh, spec: ProblemSpec, normalized: bool = False):
-        self.mesh, self.spec, self.normalized = mesh, spec, normalized
-        self._ends = _ENDS[normalized]
-        self.left = tuple(u for u, _ in self._ends[0])
+    def __init__(self, mesh: Mesh, spec: ProblemSpec, formulation: str = ORIGINAL):
+        first, last, sign, self._n = _formulation(formulation)
+        self.mesh, self.spec, self.normalized = mesh, spec, formulation == NORMALIZED
+        self._ends, self.left = (first, last), tuple(u for u, _ in first)
         self._grid = self._blocks = self._lo = None
         xbar = 0.5 * (mesh.x[:-1] + mesh.x[1:])
         omx = 1.0 - xbar
@@ -96,7 +107,7 @@ class BlockBuilder:
             ratio = omx / xbar
             self._centrifugal = ratio * ratio * spec.l * (spec.l + 1)
             # first-derivative term per y2b, signed as the formulation has it
-            self._drift = -(mesh.h / omx) if normalized else mesh.h / omx
+            self._drift = sign * (mesh.h / omx)
             self._mass = spec.mu * spec.a0 * spec.a0    # r is measured in units of a0
             factor = mesh.h * self._mass / self._omx4 * (1.0 + np.abs(self._v))
         if not np.isfinite(factor).all():
@@ -114,7 +125,7 @@ class BlockBuilder:
         hi = m + 1 if hi is None else min(hi, m + 1)
         h, normalized = self.mesh.h, self.normalized
         first, last = self._ends
-        n = len(first) + len(last)
+        n = self._n
         c, rhs = n, 2 * n           # first column of point k; residual column
         s = np.zeros((y.shape[0], hi - lo, n, rhs + 1))
         # x = 0's conditions fill block 1's last rows, x = 1's block M+1's first
@@ -169,18 +180,7 @@ def block_builder(mesh: Mesh, spec: ProblemSpec) -> BlockBuilder:
 
 def normalized_builder(mesh: Mesh, spec: ProblemSpec) -> BlockBuilder:
     """Bind mesh and physics into the normalised (N = 4) problem."""
-    return BlockBuilder(mesh, spec, normalized=True)
-
-
-ORIGINAL, NORMALIZED = "original", "normalized"
-
-
-def _is_normalized(formulation: str) -> bool:
-    """True for "normalized", False for "original"; ValueError otherwise."""
-    if formulation not in (ORIGINAL, NORMALIZED):
-        raise ValueError(f"formulation must be {ORIGINAL!r} or {NORMALIZED!r}, "
-                         f"not {formulation!r}")
-    return formulation == NORMALIZED
+    return BlockBuilder(mesh, spec, NORMALIZED)
 
 
 def level_guess(spec: ProblemSpec, e_guess: float) -> float:
@@ -205,7 +205,7 @@ def initial_guess(spec: ProblemSpec, mesh: Mesh, e_guess: float,
     condition.  The normalised formulation adds y4, the running midpoint
     integral of y1^2, with y1 and y2 scaled so that y4(1) = 1.
     """
-    normalized = _is_normalized(formulation)
+    *_, n = _formulation(formulation)
     if spec.kind is Potential.COULOMB:
         waves = spec.n - spec.l
         if waves < 1:
@@ -213,13 +213,13 @@ def initial_guess(spec: ProblemSpec, mesh: Mesh, e_guess: float,
     else:
         waves = spec.n
     arg = waves * np.pi * mesh.x
-    y = np.empty((4 if normalized else 3, mesh.m))
+    y = np.empty((n, mesh.m))
     y[0] = np.sin(arg) ** 2
     y[1] = 2.0 * waves * np.pi * np.sin(arg) * np.cos(arg)
     y[2] = level_guess(spec, e_guess)
     y[0, -1] = 0.0
     y[1, -1] = 0.0
-    if normalized:
+    if formulation == NORMALIZED:
         y1b = 0.5 * (y[0, :-1] + y[0, 1:])
         y[3, 0] = 0.0
         np.cumsum(mesh.h * y1b * y1b, out=y[3, 1:])
@@ -234,9 +234,8 @@ def default_config(spec: ProblemSpec, e_guess: float,
     """Reference iteration controls: conv per potential, eigenvalue-scaled error."""
     conv = 1e-5 if spec.kind is Potential.COULOMB else 1e-6
     scale = abs(level_guess(spec, e_guess))
-    scalv = (1.0, 1.0, scale if scale > 0.0 else 1.0)
-    if _is_normalized(formulation):
-        scalv += (1.0,)
+    *_, n = _formulation(formulation)
+    scalv = (1.0, 1.0, scale if scale > 0.0 else 1.0) + (1.0,) * (n - 3)
     return RelaxConfig(itmax=100, conv=conv, slowc=1.0, scalv=scalv)
 
 
@@ -252,6 +251,6 @@ def solve_bound_state(spec: ProblemSpec, mesh: Mesh, e_guess: float,
     start = initial_guess(spec, mesh, e_guess, formulation)
     if config is None:
         config = default_config(spec, e_guess, formulation)
-    build = (normalized_builder(mesh, spec) if _is_normalized(formulation)
-             else block_builder(mesh, spec))
+    build = (block_builder(mesh, spec) if formulation == ORIGINAL
+             else BlockBuilder(mesh, spec, formulation))
     return relax(build, start, config)

@@ -11,11 +11,10 @@ holds the N - n_left right boundary conditions (rows 0..N-n_left-1,
 derivatives in columns N..2N-1).
 
 The problem names which unknowns the left conditions determine, its
-`left` tuple; n_left = len(left).  The original formulation has N = 3,
-left = (0,) (y1 = 0 at x = 0); the normalised one has N = 4,
-left = (0, 3) (y1 = 0 and y4 = 0).  This is the layout of solvde in
-Numerical Recipes, section 17.3, with the pinned unknowns named rather
-than required to come first.
+`left` tuple; n_left = len(left).  Each formulation's N and left follow
+from its end conditions in problems._FORMULATIONS.  This is the layout
+of solvde in Numerical Recipes, section 17.3, with the pinned unknowns
+named rather than required to come first.
 
 The linear system S*delta = -E is block tridiagonal.  It is solved
 stage by stage and back-substituted, never materialising the dense

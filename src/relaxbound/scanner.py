@@ -18,8 +18,8 @@ import numpy as np
 
 from .grid import Mesh, Potential, ProblemSpec, RelaxConfig, SolutionGrid, _is_count
 from .oracles import exact_level
-from .problems import (ORIGINAL, _is_normalized, block_builder, default_config,
-                       initial_guess, level_guess, normalized_builder, solve_bound_state)
+from .problems import (ORIGINAL, BlockBuilder, block_builder, default_config,
+                       initial_guess, level_guess, solve_bound_state)
 from .relax import SingularBlockError, relax_batch
 # hydrogen_energy, linear_energy and relax stay importable: bench/spans.py wraps them here
 from .oracles import hydrogen_energy, linear_energy
@@ -99,8 +99,8 @@ def scan(spec: ProblemSpec, mesh: Mesh, config: RelaxConfig | None,
         raise ValueError("need finite e_min < e_max")
     if not _is_count(steps) or steps < 2:
         raise ValueError("need an integer count of at least two scan steps")
-    build = (normalized_builder(mesh, spec) if _is_normalized(formulation)
-             else block_builder(mesh, spec))
+    build = (block_builder(mesh, spec) if formulation == ORIGINAL
+             else BlockBuilder(mesh, spec, formulation))
     guesses = [float(g) for g in np.linspace(e_min, e_max, steps)]
     configs = [default_config(spec, guess, formulation) if config is None
                else replace(config, scalv=config.scalv[:2]

@@ -394,6 +394,23 @@ def test_a_scan_shared_with_the_helper_matches_the_reference(formulation, steps,
     assert repr(got) == repr(want)
 
 
+@pytest.mark.parametrize("formulation", ["original", "normalized"])
+def test_one_grid_groups_shared_with_the_helper_match_the_reference(formulation, mesh101,
+                                                                    helper, monkeypatch):
+    # GROUP_BLOCKS // (M + 1) is 1, as on a 1001-point mesh at the default
+    spec = ProblemSpec.coulomb(1, 0)
+    want = reference_scan(spec, mesh101, None, -14.1, -13.1, 9, formulation)
+    monkeypatch.setattr(relax_mod, "GROUP_BLOCKS", 150)
+    got = scan(spec, mesh101, None, -14.1, -13.1, 9, formulation=formulation)
+    assert repr(got) == repr(want)
+    assert helper.sent and all(sent == 1 for sent in helper.sent)
+    helper.sent.clear()
+    monkeypatch.setattr(relax_mod, "GROUP_BLOCKS", 101)     # each sweep streams
+    got = scan(spec, mesh101, None, -14.1, -13.1, 9, formulation=formulation)
+    assert repr(got) == repr(want)
+    assert not helper.sent
+
+
 def test_spoiled_members_in_the_helpers_groups_match_relax(mesh101, helper):
     spec, starts, configs = _mixed_members(mesh101)
     group = relax_mod.GROUP_BLOCKS // (mesh101.m + 1)

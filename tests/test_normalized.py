@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from relaxbound import (DifferenceBlock, Mesh, ProblemSpec, RelaxConfig,
+from relaxbound import (BlockBuilder, DifferenceBlock, Mesh, ProblemSpec, RelaxConfig,
                         SolutionGrid, block_builder, compare_wavefunction,
                         default_config, hydrogen_energy, initial_guess,
                         linear_energy, normalized_builder, relax,
@@ -179,7 +179,8 @@ def test_relax_rejects_a_scalv_of_the_wrong_length(mesh101):
                                    formulation="normalised"),
     lambda mesh: scan(ProblemSpec.linear(1, 0), mesh, None, 5.0, 7.0, 3,
                       formulation="sfroid"),
-], ids=["solve", "scan"])
+    lambda mesh: BlockBuilder(mesh, ProblemSpec.coulomb(1, 0), "normalised"),
+], ids=["solve", "scan", "builder"])
 def test_unknown_formulation_is_refused(call, mesh101):
     with pytest.raises(ValueError, match="formulation"):
         call(mesh101)

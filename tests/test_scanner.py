@@ -12,7 +12,8 @@ from relaxbound import (LINEAR_LAMBDA, LINEAR_MU, MAX_AIRY_ZEROS, Mesh, ProblemS
                         SingularBlockError, SolutionGrid, airy_ai, compare_wavefunction,
                         exact_level, hydrogen_energy, hydrogen_radial, level_guess,
                         linear_energy, map_x_to_z, reproduce_tables, roughness,
-                        sample_exact_curve, scan, scan_diagnostics, write_curve)
+                        sample_exact_curve, scan, scan_diagnostics, solve_bound_state,
+                        write_curve)
 from relaxbound.relax import DifferenceBlock
 from relaxbound.scanner import (REFERENCE_COULOMB, REFERENCE_LINEAR,
                                 REFERENCE_SCAN_LINEAR, _select)
@@ -131,6 +132,23 @@ def test_scan_reports_every_guess_nonconverged_via_selection_error(mesh101):
     assert len(info.value.entries) == 4
     assert not any(e.converged for e in info.value.entries)
     assert "no converged entry" in str(info.value)
+
+
+def test_original_builds_go_through_the_traced_names(mesh101, monkeypatch):
+    # bench/spans.py times assembly by wrapping these two module names
+    import relaxbound.problems as problems_mod
+    import relaxbound.scanner as scanner_mod
+    calls = []
+    for mod in (problems_mod, scanner_mod):
+        def counted(mesh, spec, mod=mod, real=mod.block_builder):
+            calls.append(mod)
+            return real(mesh, spec)
+        monkeypatch.setattr(mod, "block_builder", counted)
+    spec = ProblemSpec.linear(1, 0)
+    solve_bound_state(spec, mesh101, 5.9719)
+    assert calls == [problems_mod]
+    scan(spec, mesh101, None, 5.8, 6.2, 3)
+    assert calls == [problems_mod, scanner_mod]
 
 
 def test_scan_absorbs_singular_eliminations(mesh101, monkeypatch):
