@@ -22,7 +22,7 @@ _EXPORTS = {     # each submodule and the public names it defines
                " hydrogen_energy hydrogen_radial linear_energy linear_radial"
                " sample_exact_curve",
     "problems": "BlockBuilder block_builder default_config initial_guess level_guess"
-                " normalized_builder solve_bound_state",
+                " solve_bound_state",
     "relax": "DifferenceBlock RelaxOutcome SingularBlockError relax relax_batch"
              " solve_block_system",
     "scanner": "ScanEntry ScanReport ScanSelectionError compare_wavefunction reproduce_tables"

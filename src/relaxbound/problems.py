@@ -38,11 +38,11 @@ BlockBuilder(mesh, spec, formulation) binds mesh and spec into the problem
 relax takes, reading N, left, its boundary rows and its drift sign from
 _FORMULATIONS, one entry per formulation.  Its assemble_batch(y, lo,
 hi) builds rows lo..hi-1 (by default all M+1) of the Newton sweeps of a
-stack of grids, row k-1 of a sweep holding block k: the engine asks for
-a group of grids' whole sweeps, or for a sweep longer than GROUP_BLOCKS
-one slab at a time.  assemble(grid) is its one-grid case, and calling
-the builder as (k, grid) returns block k from the aligned slab of
-GROUP_BLOCKS rows that holds it.
+stack of grids, row k-1 of a sweep holding block k: the engine names the
+rows of every request, 0..M+1 for a group of grids' whole sweeps and one
+slab of GROUP_BLOCKS rows at a time for a longer sweep.  assemble(grid)
+is its one-grid case, and calling the builder as (k, grid) returns block
+k from the aligned slab of GROUP_BLOCKS rows that holds it.
 """
 
 from __future__ import annotations
@@ -83,9 +83,9 @@ class BlockBuilder:
     Construction computes the midpoint terms that only mesh and spec
     fix: V, (1-xb)^4, the centrifugal term, the signed drift and mu*a0^2.
     It refuses a mesh and spec whose y-independent E2 factor overflows:
-    every sweep would be non-finite.  assemble_batch(y) returns the whole
-    sweeps at a stack of grids and assemble(grid) the sweep at one; both
-    refuse a grid whose point count is not the mesh's.  Calling the
+    every sweep would be non-finite.  assemble_batch(y, lo, hi) returns
+    rows of the sweeps at a stack of grids and assemble(grid) the sweep at
+    one; both refuse a grid whose point count is not the mesh's.  Calling the
     builder as (k, grid) returns block k of the grid's sweep from the one
     slab it keeps, the aligned GROUP_BLOCKS rows that hold k, assembled
     when grid or slab changes.  N, left, the boundary rows and the drift
@@ -176,11 +176,6 @@ class BlockBuilder:
 def block_builder(mesh: Mesh, spec: ProblemSpec) -> BlockBuilder:
     """Bind mesh and physics into the original (N = 3) problem."""
     return BlockBuilder(mesh, spec)
-
-
-def normalized_builder(mesh: Mesh, spec: ProblemSpec) -> BlockBuilder:
-    """Bind mesh and physics into the normalised (N = 4) problem."""
-    return BlockBuilder(mesh, spec, NORMALIZED)
 
 
 def level_guess(spec: ProblemSpec, e_guess: float) -> float:

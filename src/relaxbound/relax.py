@@ -126,14 +126,14 @@ class _Layout:
     (a NaN never wins; a step without a positive product is singular),
     and the pivot row, divided by the pivot, is subtracted f times from
     each other row with f != 0.0, over the open sub and carry columns
-    only.  eliminate(blocks, m), generated once per layout, runs the
+    only.  eliminate(blocks, m, out), generated once per layout, runs the
     interior stage as the body of one loop over blocks, the flat tuples
     unpack(s) reads from a C-contiguous sweep (or slab after slab), counting k.
     Each interior stage packs its carry rows (row j holds sub column j's
     relation), N x (len(trail)+1) floats, as one record into a bytearray
     filled from the end; back reads them in order and stores unknown v's
-    corrections in d{v}, slice [v*M:(v+1)*M] of a flat memoryview of the
-    (N, M) float64 array it returns: eliminate's out, else a fresh one.
+    corrections in d{v}, slice [v*M:(v+1)*M] of a flat memoryview of out,
+    the C-contiguous (N, M) float64 array eliminate writes and returns.
     The boundary stages and back run once per solve, compiled apart:
     compile memory grows with source.
     """
@@ -167,8 +167,7 @@ class _Layout:
         record = struct.Struct(f"{n * w}d")     # one interior stage's relations
         back = _compile("back", [
             "def back(recs, rel0, last, m, out):",
-            f" dy = memoryview(out := empty(({n}, m)) if out is None else out)"
-            ".cast('B').cast('d')",
+            " dy = memoryview(out).cast('B').cast('d')",
             f" {', '.join(f'd{v}' for v in range(n))}, ="
             f" {', '.join(f'dy[{v} * m:{v + 1} * m]' for v in range(n))},",
             f" {x}, = last",
@@ -180,10 +179,10 @@ class _Layout:
             *(f" d{t}[0] = x{t}" for t in trail),
             f" {q}, = rel0",
             *(f" d{a}[0] = {value('q', i)}" for i, a in enumerate(lead)),
-            " return out"], unpack=record.iter_unpack, empty=np.empty)
+            " return out"], unpack=record.iter_unpack)
         self.unpack = struct.Struct(f"{n * (2 * n + 1)}d").iter_unpack
         self.eliminate = _compile("eliminate", [
-            "def eliminate(blocks, m, out=None):",
+            "def eliminate(blocks, m, out):",
             f" {q}, = rel0 = first(next(blocks), None, 1)",
             f" recs, k = bytearray({record.size} * (m - 1)), 1",
             f" for {t1} in islice(blocks, m - 1):",
@@ -293,7 +292,7 @@ def solve_block_system(blocks, left=LEFT) -> np.ndarray:
     if m < 2:
         raise ValueError("need a boundary block at each end and at least one interior block")
     layout = _layout(s.shape[1], tuple(left))
-    return layout.eliminate(layout.unpack(s), m)
+    return layout.eliminate(layout.unpack(s), m, np.empty((s.shape[1], m)))
 
 
 GROUP_BLOCKS = 1024     # blocks alive at once: amortises numpy's call cost; 0.3 MB at N = 4
@@ -301,14 +300,13 @@ GROUP_BLOCKS = 1024     # blocks alive at once: amortises numpy's call cost; 0.3
 
 def _sweeps(problem, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 (B, hi-lo, N, 2N+1) of the sweeps at each grid of y
-    (B, N, M): from problem.assemble_batch(y), or (y, lo, hi) for part of
-    a sweep, else problem(k, grid) for k = 1..M+1, grid by grid.
+    (B, N, M): from problem.assemble_batch(y, lo, hi), else problem(k, grid)
+    for k = 1..M+1, grid by grid.
     """
     b, n, m = y.shape
     assemble_batch = getattr(problem, "assemble_batch", None)
     if assemble_batch is not None:
-        part = () if hi - lo == m + 1 else (lo, hi)
-        s = np.ascontiguousarray(assemble_batch(y, *part), dtype=float)
+        s = np.ascontiguousarray(assemble_batch(y, lo, hi), dtype=float)
     else:
         s = np.stack([_stack([problem(k, grid) for k in range(1, m + 2)])
                       for grid in (SolutionGrid(g, n) for g in y)])
@@ -470,23 +468,23 @@ def _corrections(problem, y: np.ndarray, left: tuple[int, ...], helper=None):
 def relax(problem, initial: SolutionGrid, config: RelaxConfig) -> RelaxOutcome:
     """Iterate damped Newton steps until the correction norm drops below conv.
 
-    problem.assemble_batch(y), when present, must return the whole
-    sweeps (B, M+1, N, 2N+1) at each grid of the stacked (B, N, M) array
-    y, and assemble_batch(y, lo, hi) their rows lo..hi-1, asked only of
-    sweeps longer than GROUP_BLOCKS blocks.  Otherwise problem(k, grid)
-    must return block k (a DifferenceBlock or N x (2N+1) array) for
-    k = 1..M+1, requested in that order exactly once per sweep.  N and M
-    are the initial grid's shape; the mesh is the problem's own.
-    problem.left, when present, names the unknowns the left boundary
-    rows determine (default (0,)), and config.scalv needs one entry per
-    unknown.  Each sweep solves for the raw corrections, measures
-    err = mean(|delta|/scalv), damps by fac = slowc/max(slowc, err), and
-    applies y += fac*delta before testing err < conv.  A grid whose
-    residuals are all exactly zero converges immediately with zero
-    correction.  Non-convergence (itmax exhausted, or a step that would
-    leave the finite domain) is reported through the outcome, not
-    raised; a singular block raises SingularBlockError.  This is
-    relax_batch with one grid.
+    problem.assemble_batch(y, lo, hi), when present, must return rows
+    lo..hi-1 (B, hi-lo, N, 2N+1) of the sweeps at each grid of the stacked
+    (B, N, M) array y, row k-1 holding block k; every sweep is asked for,
+    whole (lo, hi = 0, M+1) or in slabs of GROUP_BLOCKS rows if it is
+    longer.  Otherwise problem(k, grid) must return block k (a
+    DifferenceBlock or N x (2N+1) array) for k = 1..M+1, requested in
+    that order exactly once per sweep.  N and M are the initial grid's
+    shape; the mesh is the problem's own.  problem.left, when present,
+    names the unknowns the left boundary rows determine (default (0,)),
+    and config.scalv needs one entry per unknown.  Each sweep solves for
+    the raw corrections, measures err = mean(|delta|/scalv), damps by
+    fac = slowc/max(slowc, err), and applies y += fac*delta before
+    testing err < conv.  A grid whose residuals are all exactly zero
+    converges immediately with zero correction.  Non-convergence (itmax
+    exhausted, or a step that would leave the finite domain) is reported
+    through the outcome, not raised; a singular block raises
+    SingularBlockError.  This is relax_batch with one grid.
     """
     out, = relax_batch(problem, [initial], [config])
     if isinstance(out, SingularBlockError):
@@ -505,11 +503,12 @@ def relax_batch(problem, initial, config) -> list:
     RelaxOutcome, or the SingularBlockError its elimination hit, so one
     singular grid does not stop the others.
 
-    The problem contract is relax's; _corrections assembles each sweep,
-    whole or slab by slab, and eliminates each grid alone.  With two
-    CPUs, once the process's helper is ready, a sweep of two assembly
-    groups or more (at most GROUP_BLOCKS blocks per grid) leaves every
-    odd-numbered group to it; this process eliminates the others.
+    The problem contract is relax's: _corrections asks assemble_batch for
+    each group's rows (0, M+1), or a longer sweep's slab by slab, and
+    eliminates each grid alone.  With two CPUs, once the process's helper
+    is ready, a sweep of two assembly groups or more (at most GROUP_BLOCKS
+    blocks per grid) leaves every odd-numbered group to it; this process
+    eliminates the others.
     """
     grids, configs = list(initial), list(config)
     if len(grids) != len(configs):

@@ -23,6 +23,9 @@ entry of an array evaluation must reproduce bit for bit.
 linear_level is the independent route for the linear potential's
 levels at any l: a second-order finite-difference Hamiltonian in r
 itself (no compactification, no relaxation), diagonalised by scipy.
+fd_level is the route for any potential and l: the same kind of matrix
+on the compactified mesh, sharing only V with the box scheme, whose
+O(h^2) error one Richardson step removes.
 
 serial_engine and helper choose who eliminates a batch's groups: this
 process alone, or this process and a fresh helper process that is
@@ -40,11 +43,11 @@ from importlib import import_module
 import numpy as np
 import pytest
 
-from relaxbound import (DifferenceBlock, Mesh, Potential, ProblemSpec,
+from relaxbound import (BlockBuilder, DifferenceBlock, Mesh, Potential, ProblemSpec,
                         RelaxOutcome, ScanEntry, ScanReport,
                         SingularBlockError, SolutionGrid, block_builder,
                         default_config, initial_guess, level_guess,
-                        normalized_builder, roughness, solve_block_system)
+                        roughness, solve_block_system)
 from relaxbound.scanner import _select
 
 # the package re-exports a function named relax over its relax module
@@ -200,8 +203,7 @@ def reference_relax(problem, initial, config):
 def reference_scan(spec, mesh, config, e_min, e_max, steps,
                    formulation="original"):
     """scan's report, built by relaxing one guess at a time."""
-    build = (normalized_builder if formulation == "normalized"
-             else block_builder)(mesh, spec)
+    build = BlockBuilder(mesh, spec, formulation)
     entries = []
     for guess in np.linspace(e_min, e_max, steps):
         guess = float(guess)
@@ -251,6 +253,39 @@ def linear_level(l, n=1, mu=0.75, lam=5.0, r_max=12.0, points=20000):
     off = np.full(points - 1, -0.5 / (mu * h * h))
     return float(eigh_tridiagonal(diag, off, eigvals_only=True,
                                   select="i", select_range=(n - 1, n - 1))[0])
+
+
+def fd_level(spec, m):
+    """Level spec.n of l = spec.l by three-point differences on the
+    self-adjoint form in x = r/(1+r), with u = 0 at both ends:
+
+        -((1-x)^2 u')'/(2 mu a0^2) + (V + l(l+1)/(2 mu a0^2 r^2)) u/(1-x)^2
+            = E u/(1-x)^2
+
+    on the m - 2 interior points of the m-point mesh.  With W =
+    diag(1/(1-x)^2) the matrix W^(-1/2)(K + Q)W^(-1/2) is symmetric
+    tridiagonal, and level n is its n-th eigenvalue.  Its error is O(h^2),
+    so fd_level(spec, 2m - 1) + (fd_level(spec, 2m - 1) - fd_level(spec, m))/3
+    removes the leading term.  The tiny tol resolves each eigenvalue to
+    its last bits: with eigh_tridiagonal's default, eps times the
+    matrix's 1-norm, that value for Coulomb (2, 1) at m = 801 is 6e-9
+    off the closed form, not 1.1e-9."""
+    from scipy.linalg import eigh_tridiagonal
+
+    h = 1.0 / (m - 1)
+    x = h * np.arange(1, m - 1)
+    omx = 1.0 - x
+    r = x / omx
+    mass = 2.0 * spec.mu * spec.a0 * spec.a0
+    v = (-spec.coupling / (spec.a0 * r) if spec.kind is Potential.COULOMB
+         else spec.coupling * r)
+    p = (1.0 - h * (np.arange(m - 1) + 0.5)) ** 2      # (1-x)^2 at the midpoints
+    centrifugal = spec.l * (spec.l + 1) / (mass * r * r)
+    diag = omx * omx * (p[:-1] + p[1:]) / (mass * h * h) + v + centrifugal
+    off = -omx[:-1] * omx[1:] * p[1:-1] / (mass * h * h)
+    return float(eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                  select_range=(spec.n - 1, spec.n - 1),
+                                  tol=np.finfo(float).tiny)[0])
 
 
 def _boundary_block(k, mesh, grid):

@@ -17,10 +17,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from relaxbound import (Mesh, ProblemSpec, RelaxConfig, SingularBlockError,
+from relaxbound import (BlockBuilder, Mesh, ProblemSpec, RelaxConfig, SingularBlockError,
                         SolutionGrid, block_builder, default_config,
-                        initial_guess, normalized_builder, relax, relax_batch,
-                        scan, solve_block_system, solve_bound_state)
+                        initial_guess, relax, relax_batch, scan,
+                        solve_block_system, solve_bound_state)
 from conftest import reference_relax, reference_scan, smooth_grid
 
 # the package re-exports a function named relax over its relax module
@@ -168,7 +168,7 @@ def test_long_sweeps_stream_slab_by_slab_with_the_same_bits(route, mesh101, monk
         slabs = {(lo, min(lo + 7, mesh101.m + 1)) for lo in range(0, mesh101.m + 1, 7)}
     else:
         request.getfixturevalue("serial_engine" if route == "whole" else "helper")
-        slabs = {(0, None)}
+        slabs = {(0, mesh101.m + 1)}
     spec, starts, configs = _mixed_members(mesh101)
     group = relax_mod.GROUP_BLOCKS // (mesh101.m + 1)
     starts[:0], configs[:0] = starts[:group], configs[:group]
@@ -196,6 +196,38 @@ def test_long_sweeps_stream_slab_by_slab_with_the_same_bits(route, mesh101, monk
     assert sum(isinstance(out, SingularBlockError) for out in got) == 3
 
 
+class Rows:
+    """block_builder behind an assemble_batch that must be told its rows:
+    no defaults, and each (lo, hi) noted in requests."""
+
+    def __init__(self, build):
+        self.build, self.left, self.requests = build, build.left, []
+
+    def assemble_batch(self, y, lo, hi):
+        self.requests.append((lo, hi))
+        return self.build.assemble_batch(y, lo, hi)
+
+
+@pytest.mark.parametrize("rows", [None, 7], ids=["whole", "slabs"])
+def test_every_request_names_its_rows(rows, mesh101, monkeypatch):
+    # whole sweeps are asked for as rows 0..M+1 too, so a problem that
+    # takes only (y, lo, hi) relaxes as the builder it wraps does
+    if rows is not None:
+        monkeypatch.setattr(relax_mod, "GROUP_BLOCKS", rows)
+    spec, m = ProblemSpec.linear(1, 0), mesh101.m
+    build = block_builder(mesh101, spec)
+    guesses = [float(g) for g in np.linspace(5.0, 7.0, 13)]
+    starts = [initial_guess(spec, mesh101, g) for g in guesses]
+    configs = [default_config(spec, g) for g in guesses]
+    problem = Rows(build)
+    got, want = relax_batch(problem, starts, configs), relax_batch(build, starts, configs)
+    assert repr(got) == repr(want)
+    for out, alone in zip(got, want):
+        _assert_same_outcome(out, alone)
+    step = rows or m + 1
+    assert set(problem.requests) == {(lo, min(lo + step, m + 1)) for lo in range(0, m + 1, step)}
+
+
 @pytest.mark.parametrize("formulation", ["original", "normalized"])
 def test_a_streamed_scan_matches_the_guess_by_guess_reference(formulation, mesh101,
                                                               monkeypatch):
@@ -212,17 +244,17 @@ class BoundaryOnly:
 
     left = (0,)
 
-    def assemble_batch(self, y):
+    def assemble_batch(self, y, lo, hi):
         s = np.zeros((len(y), y.shape[2] + 1, 3, 7))
         s[:, 0, 2, 3] = 1.0
         s[:, 1:-1, [0, 1, 2], [1, 2, 3]] = 1.0
         s[:, -1, [0, 1], [4, 5]] = 1.0
         s[:, 0, 2, 6] = y[:, 0, 0]
         s[:, -1, 0, 6] = y[:, 0, -1]
-        return s
+        return s[:, lo:hi]
 
     def assemble(self, grid):
-        return self.assemble_batch(grid.y[None])[0]
+        return self.assemble_batch(grid.y[None], 0, grid.m + 1)[0]
 
 
 def test_a_grid_is_exactly_solved_only_with_zero_boundary_residuals(mesh101):
@@ -286,10 +318,10 @@ def test_relax_batch_checks_its_members(mesh101):
 
 
 @pytest.mark.parametrize("b", [1, 3, 13])
-@pytest.mark.parametrize("builder, n_vars", [(block_builder, 3), (normalized_builder, 4)],
+@pytest.mark.parametrize("formulation, n_vars", [("original", 3), ("normalized", 4)],
                          ids=["original", "normalized"])
-def test_batch_assembly_matches_one_grid_at_a_time(builder, n_vars, b, mesh101, rng):
-    build = builder(mesh101, ProblemSpec.linear(1, 2))
+def test_batch_assembly_matches_one_grid_at_a_time(formulation, n_vars, b, mesh101, rng):
+    build = BlockBuilder(mesh101, ProblemSpec.linear(1, 2), formulation)
     grids = [smooth_grid(mesh101, rng, 10.0, n_vars) for _ in range(b)]
     sweeps = build.assemble_batch(np.stack([grid.y for grid in grids]))
     assert sweeps.shape == (b, mesh101.m + 1, n_vars, 2 * n_vars + 1)
@@ -298,11 +330,11 @@ def test_batch_assembly_matches_one_grid_at_a_time(builder, n_vars, b, mesh101, 
 
 
 @pytest.mark.parametrize("b", [1, 3])
-@pytest.mark.parametrize("builder, n_vars", [(block_builder, 3), (normalized_builder, 4)],
+@pytest.mark.parametrize("formulation, n_vars", [("original", 3), ("normalized", 4)],
                          ids=["original", "normalized"])
-def test_slabs_of_a_sweep_concatenate_to_the_whole_sweep(builder, n_vars, b,
+def test_slabs_of_a_sweep_concatenate_to_the_whole_sweep(formulation, n_vars, b,
                                                          mesh101, rng):
-    build = builder(mesh101, ProblemSpec.linear(1, 2))
+    build = BlockBuilder(mesh101, ProblemSpec.linear(1, 2), formulation)
     y = np.stack([smooth_grid(mesh101, rng, 10.0, n_vars).y for _ in range(b)])
     whole = build.assemble_batch(y).tobytes()
     m = mesh101.m
@@ -332,7 +364,6 @@ def test_scan_memory_stays_small(formulation, mesh101, serial_engine):
 
 
 FINE_M = 10001          # a sweep of about ten GROUP_BLOCKS slabs
-BUILDERS = {"original": block_builder, "normalized": normalized_builder}
 
 
 @pytest.mark.parametrize("formulation, per_point", [("original", 155), ("normalized", 215)])
@@ -340,7 +371,7 @@ def test_a_long_sweep_holds_one_slab_at_a_time(formulation, per_point):
     # the whole sweep alone is 168 B per point at N = 3 and 288 B at N = 4;
     # two slabs alive at once would read about 165 and 232 B
     mesh, spec = Mesh.uniform(FINE_M), ProblemSpec.coulomb(1, 0)
-    build = BUILDERS[formulation](mesh, spec)
+    build = BlockBuilder(mesh, spec, formulation)
     start = initial_guess(spec, mesh, -13.6, formulation)
     cfg = replace(default_config(spec, -13.6, formulation), itmax=1)
     relax(build, start, cfg)            # builds the layout outside the trace
@@ -356,7 +387,7 @@ def test_a_long_sweep_holds_one_slab_at_a_time(formulation, per_point):
 @pytest.mark.parametrize("formulation", ["original", "normalized"])
 def test_a_block_by_block_pass_holds_one_slab_at_a_time(formulation):
     mesh, spec = Mesh.uniform(FINE_M), ProblemSpec.coulomb(1, 0)
-    build = BUILDERS[formulation](mesh, spec)
+    build = BlockBuilder(mesh, spec, formulation)
     build(1, initial_guess(spec, mesh, -13.6, formulation))     # an earlier grid's slab
     grid = initial_guess(spec, mesh, -13.6, formulation)
     tracemalloc.start()
@@ -541,7 +572,7 @@ def test_the_helper_loop_answers_a_request_as_solve_block_system(mesh101, rng, m
     # one request over in-memory pipes, written by _Helper.send and read back
     # by _Helper.receive: a plain sweep, one singular at block k = 17 and one
     # whose residuals are all zero; _serve returns at the end of its input
-    build = normalized_builder(mesh101, ProblemSpec.linear(1, 2))
+    build = BlockBuilder(mesh101, ProblemSpec.linear(1, 2), "normalized")
     s = np.stack([build.assemble(smooth_grid(mesh101, rng, 10.0, 4)) for _ in range(3)])
     s[1, 16] = 0.0
     s[2, ..., -1] = 0.0

@@ -15,7 +15,7 @@ import pytest
 from relaxbound import (BlockBuilder, DifferenceBlock, Mesh, ProblemSpec, RelaxConfig,
                         SolutionGrid, block_builder, compare_wavefunction,
                         default_config, hydrogen_energy, initial_guess,
-                        linear_energy, normalized_builder, relax,
+                        linear_energy, relax,
                         sample_exact_curve, scan, solve_block_system,
                         solve_bound_state)
 from conftest import (assert_blocks_match_fd, dense_solve, linear_level,
@@ -35,7 +35,7 @@ NORMALIZED = "normalized"
 ], ids=["coulomb-1s", "coulomb-3d", "linear-1s", "linear-l4"])
 def test_normalized_jacobian_matches_central_differences(spec, scale, rng):
     mesh = Mesh.uniform(9)
-    build = normalized_builder(mesh, spec)
+    build = BlockBuilder(mesh, spec, NORMALIZED)
     for _ in range(10):
         grid = smooth_grid(mesh, rng, energy_scale=scale, n_vars=4)
         assert_blocks_match_fd(spec, mesh, grid, build=build)
@@ -50,7 +50,7 @@ def test_normalized_jacobian_matches_central_differences(spec, scale, rng):
 @pytest.mark.parametrize("m", [4, 7, 12])
 def test_normalized_structured_solve_matches_dense_lu(spec, scale, m, rng):
     mesh = Mesh.uniform(m)
-    build = normalized_builder(mesh, spec)
+    build = BlockBuilder(mesh, spec, NORMALIZED)
     for _ in range(3):
         grid = smooth_grid(mesh, rng, energy_scale=scale, n_vars=4)
         blocks = [build(k, grid) for k in range(1, m + 2)]
@@ -62,7 +62,7 @@ def test_normalized_structured_solve_matches_dense_lu(spec, scale, m, rng):
 
 def test_normalized_boundary_rows(mesh101, rng):
     grid = smooth_grid(mesh101, rng, energy_scale=6.0, n_vars=4)
-    s = normalized_builder(mesh101, ProblemSpec.linear(1, 0)).assemble(grid)
+    s = BlockBuilder(mesh101, ProblemSpec.linear(1, 0), NORMALIZED).assemble(grid)
     y = grid.y
     assert s.shape == (mesh101.m + 1, 4, 9)
     left = np.zeros((2, 9))
@@ -79,7 +79,7 @@ def test_normalized_rows_differ_from_the_original_only_in_e2_sign_and_y4(mesh101
     spec = ProblemSpec.coulomb(2, 0)
     grid4 = smooth_grid(mesh101, rng, energy_scale=13.6, n_vars=4)
     s3 = block_builder(mesh101, spec).assemble(SolutionGrid(grid4.y[:3]))
-    s4 = normalized_builder(mesh101, spec).assemble(grid4)
+    s4 = BlockBuilder(mesh101, spec, NORMALIZED).assemble(grid4)
     cols = [0, 1, 2, 4, 5, 6, 8]                  # the three shared unknowns
     mid3, mid4 = s3[1:-1], s4[1:-1][:, :3][:, :, cols]
     assert np.array_equal(mid3[:, [0, 2]], mid4[:, [0, 2]])   # E1 and E3
@@ -145,7 +145,7 @@ def test_normalized_initial_guess(mesh101):
     assert grid.y[3, 0] == 0.0 and grid.y[3, -1] == 1.0
     assert np.all(np.diff(grid.y[3]) >= 0.0)
     # the start already satisfies the normalisation row and both ends
-    s = normalized_builder(mesh101, spec).assemble(grid)
+    s = BlockBuilder(mesh101, spec, NORMALIZED).assemble(grid)
     assert np.abs(s[1:-1, 3, 8]).max() <= 1e-15
     assert not s[0, 2:, 8].any() and not s[-1, :2, 8].any()
 
@@ -171,7 +171,7 @@ def test_relax_rejects_a_scalv_of_the_wrong_length(mesh101):
     spec = ProblemSpec.coulomb(1, 0)
     start = initial_guess(spec, mesh101, -13.6, formulation=NORMALIZED)
     with pytest.raises(ValueError, match="scalv"):
-        relax(normalized_builder(mesh101, spec), start, RelaxConfig())
+        relax(BlockBuilder(mesh101, spec, NORMALIZED), start, RelaxConfig())
 
 
 @pytest.mark.parametrize("call", [

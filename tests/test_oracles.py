@@ -17,7 +17,7 @@ from relaxbound import (LINEAR_LAMBDA, ProblemSpec, airy_ai, airy_zero,
 from relaxbound.oracles import (MAX_AIRY_ZEROS, _ai_asymptotic, _ai_series,
                                 airy_zero_table)
 
-from conftest import reference_ai_series
+from conftest import fd_level, linear_level, reference_ai_series
 
 # ---------------------------------------------------------------- levels --
 
@@ -428,3 +428,34 @@ def test_linear_radial_rejects_negative_radius():
     for lam in (0.0, 1e-200):
         with pytest.raises(ValueError):
             linear_radial(1, 1.0, lam=lam)
+
+
+# -------------------------------------------- finite-difference levels --
+
+
+def _extrapolated(spec):
+    """fd_level at 801 and 1601 points, one Richardson step on."""
+    coarse, fine = fd_level(spec, 801), fd_level(spec, 1601)
+    return fine + (fine - coarse) / 3.0
+
+
+@pytest.mark.parametrize("spec, exact", [
+    *((ProblemSpec.linear(n, 0), linear_energy(n)) for n in range(1, 6)),
+    *((ProblemSpec.coulomb(n, l), hydrogen_energy(n, l))
+      for n, l in ((1, 0), (2, 0), (3, 0), (1, 1), (2, 1)))],
+    ids=[*(f"linear-{n}0" for n in range(1, 6)),
+         *(f"coulomb-{n}{l}" for n, l in ((1, 0), (2, 0), (3, 0), (1, 1), (2, 1)))])
+def test_fd_level_extrapolates_to_the_closed_forms(spec, exact):
+    # the worst, Coulomb (3, 0), is 2.0e-9 off; with eigh_tridiagonal's
+    # default tol Coulomb (2, 1) alone is 6e-9 off
+    assert _extrapolated(spec) == pytest.approx(exact, rel=5e-9)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_fd_level_agrees_with_the_r_space_oracle_for_l_above_zero(l):
+    # linear_level's own O(h^2) error, 9.5e-9 to 9.6e-8 here, is what
+    # separates the two: no closed form exists for l > 0
+    for n in (1, 2, 3):
+        assert _extrapolated(ProblemSpec.linear(n, l)) == pytest.approx(
+            linear_level(l, n), rel=2e-7)
+

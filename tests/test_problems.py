@@ -4,10 +4,9 @@ starting profiles, and the solve wrapper."""
 import numpy as np
 import pytest
 
-from relaxbound import (Mesh, Potential, ProblemSpec, RelaxConfig,
+from relaxbound import (BlockBuilder, Mesh, Potential, ProblemSpec, RelaxConfig,
                         SingularBlockError, block_builder, default_config,
-                        initial_guess, level_guess, normalized_builder, relax,
-                        solve_bound_state)
+                        initial_guess, level_guess, relax, solve_bound_state)
 import relaxbound.problems as problems
 from conftest import assert_blocks_match_fd, reference_blocks, smooth_grid
 
@@ -40,12 +39,11 @@ def test_right_sentinel_block_pins_value_and_slope(mesh101, rng, coulomb_1s):
     assert np.array_equal(s, expect)
 
 
-@pytest.mark.parametrize("make", [block_builder, normalized_builder],
-                         ids=["original", "normalized"])
-def test_left_names_the_unknowns_the_first_block_pins(make, mesh101, rng, coulomb_1s):
+@pytest.mark.parametrize("formulation", ["original", "normalized"])
+def test_left_names_the_unknowns_the_first_block_pins(formulation, mesh101, rng, coulomb_1s):
     # the elimination takes block 1's last len(left) rows to pin exactly the
     # unknowns in left, in order, and block M+1 to hold the other N - len(left)
-    build = make(mesh101, coulomb_1s)
+    build = BlockBuilder(mesh101, coulomb_1s, formulation)
     n = 4 if build.normalized else 3
     s = build.assemble(smooth_grid(mesh101, rng, energy_scale=13.6, n_vars=n))
     first, last = s[0, :, :2 * n], s[-1, :, :2 * n]
@@ -157,10 +155,10 @@ def test_sweep_assembly_matches_the_scalar_reference_exactly(kind, l, m, rng):
     # both formulations, in one case per (kind, l, m)
     spec = getattr(ProblemSpec, kind)(3, l)
     mesh = Mesh.uniform(m)
-    for make, n in ((block_builder, 3), (normalized_builder, 4)):
+    for formulation, n in (("original", 3), ("normalized", 4)):
         grid = smooth_grid(mesh, rng, energy_scale=13.6 if kind == "coulomb" else 5.0,
                            n_vars=n)
-        build = make(mesh, spec)
+        build = BlockBuilder(mesh, spec, formulation)
         ref = reference_blocks(spec, mesh, grid)
         sweep = build.assemble(grid)
         assert sweep.shape == (m + 1, n, 2 * n + 1)
@@ -169,16 +167,15 @@ def test_sweep_assembly_matches_the_scalar_reference_exactly(kind, l, m, rng):
             assert np.array_equal(build(k, grid).s, ref[k - 1])
 
 
-@pytest.mark.parametrize("make", [block_builder, normalized_builder],
-                         ids=["original", "normalized"])
-def test_builder_evaluates_the_potential_once(make, mesh101, rng, monkeypatch):
+@pytest.mark.parametrize("formulation", ["original", "normalized"])
+def test_builder_evaluates_the_potential_once(formulation, mesh101, rng, monkeypatch):
     # V depends only on mesh and spec: construction computes it, and
     # neither a sweep nor a per-k block computes it again
     spec = ProblemSpec.coulomb(1, 0)
     term, calls = problems._TERMS[spec.kind], []
     monkeypatch.setitem(problems._TERMS, spec.kind,
                         lambda *args: calls.append(args) or term(*args))
-    build = make(mesh101, spec)
+    build = BlockBuilder(mesh101, spec, formulation)
     n = 4 if build.normalized else 3
     grids = [smooth_grid(mesh101, rng, energy_scale=13.6, n_vars=n) for _ in range(4)]
     for grid in grids[:3]:
@@ -288,7 +285,9 @@ def test_builders_dispatch_on_potential(mesh101, rng):
                               block_builder(mesh101, lspec)(50, grid).s)
 
 
-@pytest.mark.parametrize("build", [block_builder, normalized_builder])
+@pytest.mark.parametrize("build", [
+    block_builder,
+    pytest.param(lambda mesh, spec: BlockBuilder(mesh, spec, "normalized"), id="normalized")])
 @pytest.mark.parametrize("m", [11, 101, 10001])
 def test_builders_refuse_a_spec_whose_blocks_overflow(build, m):
     # a0 = 1/(mu*e^2) = 1.4e302 is finite, but mu*a0^2 = 1.9e304 overflows E2
@@ -313,4 +312,4 @@ def test_builders_accept_every_reference_state(m):
     specs += [ProblemSpec.linear(n, l) for n, l in ((1, 0), (2, 0), (1, 5))]
     for spec in specs:
         block_builder(mesh, spec)
-        normalized_builder(mesh, spec)
+        BlockBuilder(mesh, spec, "normalized")

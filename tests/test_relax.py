@@ -2,6 +2,7 @@
 stepping, damping, and failure reporting."""
 
 import copy
+import inspect
 import itertools
 import math
 import pickle
@@ -11,11 +12,10 @@ from importlib import import_module
 import numpy as np
 import pytest
 
-from relaxbound import (DifferenceBlock, Mesh, ProblemSpec, RelaxConfig,
+from relaxbound import (BlockBuilder, DifferenceBlock, Mesh, ProblemSpec, RelaxConfig,
                         RelaxOutcome, SingularBlockError, SolutionGrid,
                         block_builder, default_config, initial_guess,
-                        level_guess, normalized_builder, relax,
-                        solve_block_system, solve_bound_state)
+                        level_guess, relax, solve_block_system, solve_bound_state)
 from conftest import dense_solve, reference_elimination, smooth_grid
 
 # the package re-exports a function named relax over its relax module
@@ -51,7 +51,7 @@ def test_solver_refuses_blocks_that_are_not_n_by_2n_plus_1():
 
 def test_relax_refuses_a_sweep_of_the_wrong_shape():
     class OneBlockShort:
-        def assemble_batch(self, y):
+        def assemble_batch(self, y, lo, hi):
             b, n, m = y.shape
             return np.zeros((b, m, n, 2 * n + 1))
 
@@ -149,8 +149,7 @@ def test_structured_solver_matches_dense_lu(spec, m, rng):
         assert np.all(np.abs(fast - slow) <= 1e-10 * np.abs(slow) + 5e-12 * peak)
 
 
-@pytest.mark.parametrize("builder, n_vars", [(block_builder, 3),
-                                             (normalized_builder, 4)],
+@pytest.mark.parametrize("formulation, n_vars", [("original", 3), ("normalized", 4)],
                          ids=["original", "normalized"])
 @pytest.mark.parametrize("spec, scale", [
     (ProblemSpec.coulomb(1, 0), 13.6),
@@ -158,11 +157,11 @@ def test_structured_solver_matches_dense_lu(spec, m, rng):
 ], ids=["coulomb-1s", "linear-l3"])
 @pytest.mark.parametrize("m", [3, 12, 301])
 def test_elimination_matches_the_plain_loop_reference_exactly(
-        builder, n_vars, spec, scale, m, rng):
+        formulation, n_vars, spec, scale, m, rng):
     # the stage arithmetic written out per layout must round exactly as
     # the loops over index lists do
     mesh = Mesh.uniform(m)
-    build = builder(mesh, spec)
+    build = BlockBuilder(mesh, spec, formulation)
     for _ in range(3):
         grid = smooth_grid(mesh, rng, energy_scale=scale, n_vars=n_vars)
         blocks = build.assemble(grid)
@@ -170,20 +169,23 @@ def test_elimination_matches_the_plain_loop_reference_exactly(
         assert fast.tobytes() == reference_elimination(blocks, build.left).tobytes()
 
 
-@pytest.mark.parametrize("builder, n_vars", [(block_builder, 3),
-                                             (normalized_builder, 4)],
+@pytest.mark.parametrize("formulation, n_vars", [("original", 3), ("normalized", 4)],
                          ids=["original", "normalized"])
-def test_every_input_form_gives_the_same_bits(builder, n_vars, mesh101, rng):
+def test_every_input_form_gives_the_same_bits(formulation, n_vars, mesh101, rng):
     # the elimination reads a C-contiguous sweep; any other form of the
     # same blocks must be brought to it without changing a bit
-    build = builder(mesh101, ProblemSpec.coulomb(1, 0))
+    build = BlockBuilder(mesh101, ProblemSpec.coulomb(1, 0), formulation)
     grid = smooth_grid(mesh101, rng, energy_scale=13.6, n_vars=n_vars)
     s = np.ascontiguousarray(build.assemble(grid), dtype=float)
     wide = np.zeros(s.shape[:2] + (s.shape[2] + 3,))
     wide[..., 1:-2] = s
     forms = [wide[..., 1:-2], np.asfortranarray(s), [DifferenceBlock(b) for b in s]]
     assert not (forms[0].flags.c_contiguous or forms[1].flags.c_contiguous)
+    # the generated elimination writes only into the array it is handed
+    out = inspect.signature(relax_mod._layout(n_vars, build.left).eliminate).parameters["out"]
+    assert out.default is inspect.Parameter.empty
     want = solve_block_system(s, build.left)
+    assert not np.shares_memory(want, s)
     for form in forms:
         got = solve_block_system(form, build.left)
         assert got.tobytes() == want.tobytes()
