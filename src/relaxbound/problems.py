@@ -37,11 +37,11 @@ condition of sfroid, Numerical Recipes section 17.4).
 BlockBuilder(mesh, spec, formulation) binds mesh and spec into the problem
 relax takes, reading N, left, its boundary rows and its drift sign from
 _FORMULATIONS, one entry per formulation.  Its assemble_batch(y, lo,
-hi) builds rows lo..hi-1 (by default all M+1) of the Newton sweeps of a
-stack of grids, row k-1 of a sweep holding block k: the engine names the
-rows of every request, 0..M+1 for a group of grids' whole sweeps and one
-slab of GROUP_BLOCKS rows at a time for a longer sweep.  assemble(grid)
-is its one-grid case, and calling the builder as (k, grid) returns block
+hi) builds rows lo..hi-1 of the Newton sweeps of a stack of grids, row
+k-1 of a sweep holding block k: the engine names the rows of every
+request, 0..M+1 for a group of grids' whole sweeps and one slab of
+GROUP_BLOCKS rows at a time for a longer sweep.  assemble(grid) is its
+one-grid case, and calling the builder as (k, grid) returns block
 k from the aligned slab of GROUP_BLOCKS rows that holds it.
 """
 
@@ -115,14 +115,15 @@ class BlockBuilder:
                              f"h*mu*a0^2*(1+|V|)/(1-x)^4 is not finite")
 
     @np.errstate(over="ignore", invalid="ignore")
-    def assemble_batch(self, y: np.ndarray, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Rows lo..hi-1 (hi at most M+1, the default) of the (B, M+1, N, 2N+1)
+    def assemble_batch(self, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi-1 (0 <= lo < hi <= M+1) of the (B, M+1, N, 2N+1)
         sweeps at each grid of the stacked (B, N, M) array y, M the mesh's
         point count.  Entries are elementwise: a block's bits ignore its slab."""
         m = self.mesh.m
         if y.shape[-1] != m:
             raise ValueError(f"grids of {y.shape[-1]} points on a mesh of {m}")
-        hi = m + 1 if hi is None else min(hi, m + 1)
+        if not 0 <= lo < hi <= m + 1:
+            raise ValueError(f"rows lo={lo}, hi={hi} are not 0 <= lo < hi <= {m + 1}")
         h, normalized = self.mesh.h, self.normalized
         first, last = self._ends
         n = self._n
@@ -134,7 +135,7 @@ class BlockBuilder:
                 s[:, k, row, c + u] = 1.0
                 s[:, k, row, rhs] = y[:, u, k] - value
 
-        a, z = max(lo, 1) - 1, min(hi, m) - 1       # the slab's intervals a..z-1
+        a, z = max(lo, 1) - 1, min(m, hi) - 1       # the slab's intervals a..z-1
         yl, yr = y[:, :, a:z], y[:, :, a + 1:z + 1]
         y1b, y2b, y3b = (0.5 * (yl[:, :3] + yr[:, :3])).transpose(1, 0, 2)
         dy = (yr - yl).transpose(1, 0, 2)
@@ -159,7 +160,7 @@ class BlockBuilder:
 
     def assemble(self, grid: SolutionGrid) -> np.ndarray:
         """The (M+1, N, 2N+1) blocks of the sweep at grid."""
-        return self.assemble_batch(grid.y[None])[0]
+        return self.assemble_batch(grid.y[None], 0, self.mesh.m + 1)[0]
 
     def __call__(self, k: int, grid: SolutionGrid) -> DifferenceBlock:
         if not 1 <= k <= self.mesh.m + 1:
@@ -167,7 +168,8 @@ class BlockBuilder:
         lo = (k - 1) // GROUP_BLOCKS * GROUP_BLOCKS
         if grid is not self._grid or lo != self._lo:
             self._grid = self._blocks = None        # drop the old slab first
-            self._blocks = self.assemble_batch(grid.y[None], lo, lo + GROUP_BLOCKS)[0]
+            self._blocks = self.assemble_batch(grid.y[None], lo,
+                                               min(lo + GROUP_BLOCKS, self.mesh.m + 1))[0]
             self._blocks.setflags(write=False)   # blocks are views of it
             self._grid, self._lo = grid, lo
         return DifferenceBlock(self._blocks[k - 1 - lo])

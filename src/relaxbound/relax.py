@@ -409,16 +409,16 @@ def _serve():
         dst.flush()
 
 
-def _corrections(problem, y: np.ndarray, left: tuple[int, ...], helper=None):
+def _corrections(problem, y: np.ndarray, left: tuple[int, ...], helper):
     """Newton corrections of each grid in y (B, N, M), in one array.
 
-    Returns (dy, exact, singular): exact marks grids whose meaningful
-    residuals are all exactly zero, singular holds the 1-based block
-    where a grid's elimination failed, else 0.  Once all are eliminated,
-    here or by the helper, an exactly solved grid gets zero dy and no
-    singular block: it already solves the discrete system, and its
-    Jacobian may legitimately be singular (on the all-zero trivial
-    solution the energy column vanishes entirely).
+    Returns (dy, singular): singular holds the 1-based block where a
+    grid's elimination failed, else 0.  Once all are eliminated, here or
+    by the helper, a grid whose meaningful residuals are all exactly zero
+    gets dy = -0.0 and no singular block: it already solves the discrete
+    system, and its Jacobian may legitimately be singular (on the
+    all-zero trivial solution the energy column vanishes entirely).  Its
+    step then keeps its bits, and its err, 0.0, passes the test < conv.
 
     Groups of about GROUP_BLOCKS blocks of grids are assembled in slabs of
     at most GROUP_BLOCKS rows.  A short sweep, or any of a problem without
@@ -461,8 +461,8 @@ def _corrections(problem, y: np.ndarray, left: tuple[int, ...], helper=None):
             if pending:
                 helper.stop()
             raise
-    singular[exact], dy[exact] = 0, 0.0
-    return dy, exact, singular
+    singular[exact], dy[exact] = 0, -0.0       # x + -0.0 is x, signed zeros too
+    return dy, singular
 
 
 def relax(problem, initial: SolutionGrid, config: RelaxConfig) -> RelaxOutcome:
@@ -480,11 +480,10 @@ def relax(problem, initial: SolutionGrid, config: RelaxConfig) -> RelaxOutcome:
     and config.scalv needs one entry per unknown.  Each sweep solves for
     the raw corrections, measures err = mean(|delta|/scalv), damps by
     fac = slowc/max(slowc, err), and applies y += fac*delta before
-    testing err < conv.  A grid whose residuals are all exactly zero
-    converges immediately with zero correction.  Non-convergence (itmax
-    exhausted, or a step that would leave the finite domain) is reported
-    through the outcome, not raised; a singular block raises
-    SingularBlockError.  This is relax_batch with one grid.
+    testing err < conv.  Non-convergence (itmax exhausted, or a step
+    that would leave the finite domain) is reported through the outcome,
+    not raised; a singular block raises SingularBlockError.  This is
+    relax_batch with one grid.
     """
     out, = relax_batch(problem, [initial], [config])
     if isinstance(out, SingularBlockError):
@@ -537,7 +536,7 @@ def relax_batch(problem, initial, config) -> list:
     it = 0
     while live.size:
         it += 1
-        dy, exact, singular = _corrections(problem, y, left, helper)
+        dy, singular = _corrections(problem, y, left, helper)
         with np.errstate(over="ignore", invalid="ignore"):
             # err as a per-unknown loop sums it, then y + fac*dy in place;
             # rows that do not step get values that are never used
@@ -549,13 +548,11 @@ def relax_batch(problem, initial, config) -> list:
             dy *= (slowc[live] / np.maximum(slowc[live], err))[:, None, None]
             dy += y
         finite = np.isfinite(err)
-        stepped = ~exact & (singular == 0) & finite & np.isfinite(dy).all(axis=(1, 2))
+        stepped = (singular == 0) & finite & np.isfinite(dy).all(axis=(1, 2))
         np.copyto(y, dy, where=stepped[:, None, None])
         done = stepped & ((err < conv[live]) | (it == itmax[live]))
         for i in np.flatnonzero(~stepped | done):
-            if exact[i]:
-                result = RelaxOutcome(SolutionGrid(y[i], n), it, 0.0, True)
-            elif singular[i]:
+            if singular[i]:
                 result = SingularBlockError(int(singular[i]))
             elif not finite[i]:
                 result = RelaxOutcome(SolutionGrid(y[i], n), it, math.inf, False)

@@ -19,7 +19,7 @@ import pytest
 
 from relaxbound import (BlockBuilder, Mesh, ProblemSpec, RelaxConfig, SingularBlockError,
                         SolutionGrid, block_builder, default_config,
-                        initial_guess, relax, relax_batch, scan,
+                        initial_guess, level_guess, relax, relax_batch, scan,
                         solve_block_system, solve_bound_state)
 from conftest import reference_relax, reference_scan, smooth_grid
 
@@ -86,9 +86,9 @@ class Spoiled:
     def __init__(self, build):
         self.build, self.left, self.requests = build, build.left, []
 
-    def assemble_batch(self, y, lo=0, hi=None):
+    def assemble_batch(self, y, lo, hi):
         self.requests.append((lo, hi))
-        s = self.build.assemble_batch(y)
+        s = self.build.assemble_batch(y, 0, y.shape[2] + 1)
         for b, energy in enumerate(y[:, 2, 0]):
             if energy in (SINGULAR, HIDDEN):
                 s[b, 16] = 0.0
@@ -105,7 +105,7 @@ class Spoiled:
         return s[:, lo:hi]
 
     def assemble(self, grid):
-        return self.assemble_batch(grid.y[None])[0]
+        return self.assemble_batch(grid.y[None], 0, grid.m + 1)[0]
 
 
 def _mixed_members(mesh):
@@ -271,6 +271,31 @@ def test_a_grid_is_exactly_solved_only_with_zero_boundary_residuals(mesh101):
     assert [out.final_err > 0.0 for out in got] == [True, True, False]
 
 
+@pytest.mark.parametrize("route", ["alone", "serial", "helper"])
+def test_an_exactly_solved_grid_keeps_its_signed_zeros(route, mesh101, request):
+    # y = 0 with -0.0 at every third point solves the system exactly: its
+    # zero step keeps every bit, where y + 0.0 would turn -0.0 into 0.0.  In a
+    # batch of 13 it is member 11, in the second group, the helper's
+    spec, guess = ProblemSpec.coulomb(1, 0), -13.598270
+    build, cfg = block_builder(mesh101, spec), default_config(spec, guess)
+    y = np.zeros((3, mesh101.m))
+    y[:2, ::3] = -0.0
+    y[2] = level_guess(spec, guess)
+    start = SolutionGrid(y)
+    if route == "alone":
+        out = relax(build, start, cfg)
+    else:
+        engine = request.getfixturevalue("serial_engine" if route == "serial" else "helper")
+        starts = [initial_guess(spec, mesh101, g) for g in np.linspace(-14.0, -13.0, 12)]
+        starts.insert(11, start)
+        assert _groups(len(starts), mesh101) == 2
+        out = relax_batch(build, starts, [cfg] * len(starts))[11]
+        if route == "helper":
+            assert engine.sent[0] == 3
+    assert (out.converged, out.iterations, out.final_err) == (True, 1, 0.0)
+    assert out.grid.y.tobytes() == start.y.tobytes()
+
+
 def test_per_k_problem_runs_through_the_batched_path(mesh101):
     spec = ProblemSpec.coulomb(1, 0)
     build = block_builder(mesh101, spec)
@@ -323,7 +348,7 @@ def test_relax_batch_checks_its_members(mesh101):
 def test_batch_assembly_matches_one_grid_at_a_time(formulation, n_vars, b, mesh101, rng):
     build = BlockBuilder(mesh101, ProblemSpec.linear(1, 2), formulation)
     grids = [smooth_grid(mesh101, rng, 10.0, n_vars) for _ in range(b)]
-    sweeps = build.assemble_batch(np.stack([grid.y for grid in grids]))
+    sweeps = build.assemble_batch(np.stack([grid.y for grid in grids]), 0, mesh101.m + 1)
     assert sweeps.shape == (b, mesh101.m + 1, n_vars, 2 * n_vars + 1)
     for sweep, grid in zip(sweeps, grids):
         assert sweep.tobytes() == build.assemble(grid).tobytes()
@@ -336,13 +361,23 @@ def test_slabs_of_a_sweep_concatenate_to_the_whole_sweep(formulation, n_vars, b,
                                                          mesh101, rng):
     build = BlockBuilder(mesh101, ProblemSpec.linear(1, 2), formulation)
     y = np.stack([smooth_grid(mesh101, rng, 10.0, n_vars).y for _ in range(b)])
-    whole = build.assemble_batch(y).tobytes()
     m = mesh101.m
+    whole = build.assemble_batch(y, 0, m + 1).tobytes()
     # slabs of row 0 alone, one interior row alone, row M alone, and wider ones
     for cuts in ([0, 1, 2, 3, 40, m, m + 1], [0, 7, 14, 50, 51, m + 1],
                  [0, m, m + 1], [0, 1, m + 1]):
         slabs = [build.assemble_batch(y, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         assert np.concatenate(slabs, axis=1).tobytes() == whole, cuts
+
+
+@pytest.mark.parametrize("lo, hi", [(-2, 3), (5, 5), (7, 3), (0, 13)])
+def test_assemble_batch_takes_only_rows_inside_the_sweep(lo, hi):
+    # an 11-point mesh has rows 0..11, block k in row k-1
+    mesh = Mesh.uniform(11)
+    spec = ProblemSpec.linear(1, 0)
+    y = initial_guess(spec, mesh, 6.0).y[None]
+    with pytest.raises(ValueError, match=rf"lo={lo}, hi={hi} "):
+        block_builder(mesh, spec).assemble_batch(y, lo, hi)
 
 
 # --------------------------------------------------------------- memory --

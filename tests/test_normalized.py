@@ -18,7 +18,7 @@ from relaxbound import (BlockBuilder, DifferenceBlock, Mesh, ProblemSpec, RelaxC
                         linear_energy, relax,
                         sample_exact_curve, scan, solve_block_system,
                         solve_bound_state)
-from conftest import (assert_blocks_match_fd, dense_solve, linear_level,
+from conftest import (assert_blocks_match_fd, dense_solve, fd_level, linear_level,
                       smooth_grid)
 
 NORMALIZED = "normalized"
@@ -244,6 +244,23 @@ def test_normalized_levels_converge_at_second_order(spec, guess, exact):
         errors.append(abs(out.grid.energy - exact))
     orders = [math.log(a / b) / math.log(4.0) for a, b in zip(errors, errors[1:])]
     assert all(1.8 <= p <= 2.2 for p in orders), (errors, orders)
+
+
+@pytest.mark.parametrize("n, l", [(1, 1), (1, 2), (1, 3), (2, 2), (3, 1)])
+def test_normalized_levels_above_l_zero_converge_at_second_order(n, l):
+    # against the 801/1601 Richardson value of fd_level, started 1% above
+    # it.  Linear (2, 1) is left out: from 1% either side it converges to
+    # (3, 1)'s level, with one node too many (ROADMAP item 4)
+    spec = ProblemSpec.linear(n, l)
+    coarse, fine = fd_level(spec, 801), fd_level(spec, 1601)
+    level = fine + (fine - coarse) / 3.0
+    errors = []
+    for m in (101, 401, 1601):
+        out = solve_bound_state(spec, Mesh.uniform(m), 1.01 * level, formulation=NORMALIZED)
+        assert out.converged
+        errors.append(abs(out.grid.energy - level))
+    orders = [math.log(a / b) / math.log(4.0) for a, b in zip(errors, errors[1:])]
+    assert all(1.9 <= p <= 2.1 for p in orders), (errors, orders)
 
 
 @pytest.mark.parametrize("spec, guess", [
