@@ -298,24 +298,6 @@ def solve_block_system(blocks, left=LEFT) -> np.ndarray:
 GROUP_BLOCKS = 1024     # blocks alive at once: amortises numpy's call cost; 0.3 MB at N = 4
 
 
-def _sweeps(problem, y: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 (B, hi-lo, N, 2N+1) of the sweeps at each grid of y
-    (B, N, M): from problem.assemble_batch(y, lo, hi), else problem(k, grid)
-    for k = 1..M+1, grid by grid.
-    """
-    b, n, m = y.shape
-    assemble_batch = getattr(problem, "assemble_batch", None)
-    if assemble_batch is not None:
-        s = np.ascontiguousarray(assemble_batch(y, lo, hi), dtype=float)
-    else:
-        s = np.stack([_stack([problem(k, grid) for k in range(1, m + 2)])
-                      for grid in (SolutionGrid(g, n) for g in y)])
-    if s.shape != (b, hi - lo, n, 2 * n + 1):
-        raise ValueError(f"sweeps of {b} grids must be {(b, hi - lo, n, 2 * n + 1)}, "
-                         f"not {s.shape}")
-    return s
-
-
 def _eliminate(sweeps, left, dy: np.ndarray, singular: np.ndarray):
     """Each sweep's corrections into dy, else where its elimination fails:
     an (M+1, N, 2N+1) array goes whole to solve_block_system, a stream of
@@ -328,8 +310,7 @@ def _eliminate(sweeps, left, dy: np.ndarray, singular: np.ndarray):
                 _layout(dy.shape[1], left).eliminate(sweep, dy.shape[2], dy[i])
         except SingularBlockError as exc:
             singular[i] = exc.k
-            if not isinstance(sweep, np.ndarray):   # its later slabs: the exactness test
-                collections.deque(sweep, 0)
+            collections.deque(iter(sweep), 0)   # a stream's later slabs: the exactness test
 
 
 class _Helper:
@@ -421,22 +402,32 @@ def _corrections(problem, y: np.ndarray, left: tuple[int, ...], helper):
     step then keeps its bits, and its err, 0.0, passes the test < conv.
 
     Groups of about GROUP_BLOCKS blocks of grids are assembled in slabs of
-    at most GROUP_BLOCKS rows.  A short sweep, or any of a problem without
-    assemble_batch, is one slab and goes whole to solve_block_system; a
-    longer one, alone in its group, streams into its elimination.  Given
-    relax_batch's helper, groups go in pairs: the second is sent to the
-    helper, the first eliminated here, then the helper's answer is read
-    into dy.  If anything raises meanwhile, the helper is dropped: a
-    request or answer may be cut short.
+    at most GROUP_BLOCKS rows, by problem.assemble_batch(y, lo, hi), else
+    by problem(k, grid) for k = 1..M+1, grid by grid.  A short sweep, or
+    any of a problem without assemble_batch, is one slab and goes whole to
+    solve_block_system; a longer one, alone in its group, streams into its
+    elimination.  Given relax_batch's helper, groups go in pairs: the
+    second is sent to the helper, the first eliminated here, then the
+    helper's answer is read into dy.  If anything raises meanwhile, the
+    helper is dropped: a request or answer may be cut short.
     """
     b, n, m = y.shape
     t = n - len(left)               # the right block's rows; the left block's start at t
-    rows = GROUP_BLOCKS if hasattr(problem, "assemble_batch") else m + 1    # per slab
+    per_k = not hasattr(problem, "assemble_batch")
+    rows = m + 1 if per_k else GROUP_BLOCKS     # per slab
     group = max(1, GROUP_BLOCKS // (m + 1))
     dy, exact, singular = np.zeros((b, n, m)), np.ones(b, dtype=bool), np.zeros(b, dtype=int)
 
     def slab(lo, start):            # rows start.. of the sweeps of the group at lo
-        s = _sweeps(problem, y[lo:lo + group], start, min(start + rows, m + 1))
+        grids, stop = y[lo:lo + group], min(start + rows, m + 1)
+        if per_k:
+            s = np.stack([_stack([problem(k, grid) for k in range(1, m + 2)])
+                          for grid in (SolutionGrid(g, n) for g in grids)])
+        else:
+            s = np.ascontiguousarray(problem.assemble_batch(grids, start, stop), dtype=float)
+        want = (len(grids), stop - start, n, 2 * n + 1)
+        if s.shape != want:
+            raise ValueError(f"sweeps of {len(grids)} grids must be {want}, not {s.shape}")
         e = s[..., -1].reshape(len(s), -1)      # residuals; flat t..M*N+t-1 mean something
         exact[lo:lo + group] &= ~e[:, max(t - start * n, 0):(m - start) * n + t].any(axis=1)
         return s

@@ -317,6 +317,19 @@ def test_per_k_problem_runs_through_the_batched_path(mesh101):
     assert seen == sweep * sum(out.iterations for out in got)
 
 
+def test_per_k_sweeps_go_whole_through_solve_block_system(mesh101, monkeypatch,
+                                                          serial_engine):
+    # the benchmark's traced passes count relax.block_solves by wrapping this
+    # name, and every grid-sweep they trace comes from a per-k problem
+    build, starts, configs = _coulomb_batch(mesh101)
+    calls, solve = [], relax_mod.solve_block_system
+    monkeypatch.setattr(relax_mod, "solve_block_system",
+                        lambda blocks, *args: calls.append(len(blocks)) or solve(blocks, *args))
+    got = relax_batch(lambda k, grid: build(k, grid), starts, configs)
+    assert all(isinstance(out, relax_mod.RelaxOutcome) for out in got)
+    assert calls == [mesh101.m + 1] * sum(out.iterations for out in got)
+
+
 def test_relax_is_a_batch_of_one(mesh101):
     spec = ProblemSpec.linear(2, 0)
     start = initial_guess(spec, mesh101, 10.4410)
@@ -515,16 +528,36 @@ def test_a_helper_killed_between_batches_is_dropped(mesh101, helper):
 
 
 class Sabotaged:
-    """A builder whose second assemble_batch call runs act first."""
+    """A builder whose assemble_batch call number `at` runs act first: call 1
+    assembles the group for the helper, call 2 the first group, once the
+    second is sent."""
 
-    def __init__(self, build, act):
-        self.build, self.left, self.act, self.calls = build, build.left, act, 0
+    def __init__(self, build, act, at):
+        self.build, self.left, self.act, self.at, self.calls = build, build.left, act, at, 0
 
     def assemble_batch(self, y, *rows):
         self.calls += 1
-        if self.calls == 2:             # the first group, once the second is sent
+        if self.calls == self.at:
             self.act()
         return self.build.assemble_batch(y, *rows)
+
+
+def test_a_helper_dead_before_a_request_is_written_raises(mesh101, helper):
+    build, starts, configs = _coulomb_batch(mesh101)
+    pid = helper.proc.pid
+
+    def kill():
+        helper.proc.kill()
+        helper.proc.wait()
+
+    with pytest.raises(RuntimeError, match="helper died") as raised:
+        relax_batch(Sabotaged(build, kill, 1), starts, configs)
+    assert isinstance(raised.value.__cause__, BrokenPipeError)
+    assert helper.proc is None
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+    assert helper.sent == [relax_mod.GROUP_BLOCKS // (mesh101.m + 1)]   # the attempt
+    _expect_relaxed(relax_batch(build, starts, configs), build, starts, configs)
 
 
 def test_a_helper_that_dies_with_an_answer_pending_raises(mesh101, helper):
@@ -536,7 +569,7 @@ def test_a_helper_that_dies_with_an_answer_pending_raises(mesh101, helper):
         helper.proc.wait()
 
     with pytest.raises(RuntimeError, match="helper died"):
-        relax_batch(Sabotaged(build, kill), starts, configs)
+        relax_batch(Sabotaged(build, kill, 2), starts, configs)
     assert helper.sent == [relax_mod.GROUP_BLOCKS // (mesh101.m + 1)]
     assert helper.proc is None
     with pytest.raises(ProcessLookupError):
@@ -552,7 +585,7 @@ def test_a_raise_here_with_an_answer_pending_drops_the_helper(mesh101, helper):
         raise ValueError("assembly failed")
 
     with pytest.raises(ValueError, match="assembly failed"):
-        relax_batch(Sabotaged(build, fail), starts, configs)
+        relax_batch(Sabotaged(build, fail, 2), starts, configs)
     assert helper.sent and helper.proc is None
     with pytest.raises(ProcessLookupError):
         os.kill(pid, 0)

@@ -49,15 +49,19 @@ def test_solver_refuses_blocks_that_are_not_n_by_2n_plus_1():
         solve_block_system(np.zeros((5, 3, 6)))
 
 
-def test_relax_refuses_a_sweep_of_the_wrong_shape():
-    class OneBlockShort:
-        def assemble_batch(self, y, lo, hi):
-            b, n, m = y.shape
-            return np.zeros((b, m, n, 2 * n + 1))
+class _OneBlockShort:
+    def assemble_batch(self, y, lo, hi):
+        b, n, m = y.shape
+        return np.zeros((b, m, n, 2 * n + 1))
 
+
+@pytest.mark.parametrize("problem, got", [
+    pytest.param(_OneBlockShort(), r"\(1, 11, 3, 7\)", id="assemble_batch"),
+    pytest.param(lambda k, grid: np.zeros((2, 5)), r"\(1, 12, 2, 5\)", id="per-k")])
+def test_relax_refuses_a_sweep_of_the_wrong_shape(problem, got):
     grid = SolutionGrid(np.ones((3, 11)))
-    with pytest.raises(ValueError, match=r"sweeps of 1 grids must be \(1, 12, 3, 7\)"):
-        relax(OneBlockShort(), grid, RelaxConfig())
+    with pytest.raises(ValueError, match=r"sweeps of 1 grids must be \(1, 12, 3, 7\), not " + got):
+        relax(problem, grid, RelaxConfig())
 
 
 def test_relax_rejects_mismatched_mesh():
