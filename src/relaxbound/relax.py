@@ -28,8 +28,8 @@ grid stops at the same sweep with the same bits as it would alone.  One
 loop assembles grids a group at a time in slabs of GROUP_BLOCKS rows, so a
 longer sweep streams into its elimination, as solvde asks difeq for blocks.
 With two CPUs a helper process (_Helper), started at a process's second
-batch of two groups or more and killed at its exit, eliminates every
-other group.
+batch that relax_batch would share and killed at its exit, eliminates
+every other group.
 """
 
 from __future__ import annotations
@@ -326,7 +326,7 @@ class _Helper:
         self.batches = itertools.count()
 
     def batch(self):
-        """For a batch of two groups or more: this helper if it is ready and
+        """For a batch relax_batch would share: this helper if it is ready and
         this thread started it, else None.  It starts at the second batch."""
         if len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2:
             return None
@@ -390,7 +390,7 @@ def _serve():
         dst.flush()
 
 
-def _corrections(problem, y: np.ndarray, left: tuple[int, ...], helper):
+def _corrections(problem, y: np.ndarray, left: tuple[int, ...], group: int, helper):
     """Newton corrections of each grid in y (B, N, M), in one array.
 
     Returns (dy, singular): singular holds the 1-based block where a
@@ -399,12 +399,13 @@ def _corrections(problem, y: np.ndarray, left: tuple[int, ...], helper):
     gets dy = -0.0 and no singular block: it already solves the discrete
     system, and its Jacobian may legitimately be singular (on the
     all-zero trivial solution the energy column vanishes entirely).  Its
-    step then keeps its bits, and its err, 0.0, passes the test < conv.
+    step then keeps its bits, and its err is 0.0.
 
-    Groups of about GROUP_BLOCKS blocks of grids are assembled in slabs of
-    at most GROUP_BLOCKS rows, by problem.assemble_batch(y, lo, hi), else
-    by problem(k, grid) for k = 1..M+1, grid by grid.  A short sweep, or
-    any of a problem without assemble_batch, is one slab and goes whole to
+    group, the grids per group, comes from relax_batch, which also uses it
+    to decide on the helper.  Each group is assembled in slabs of at most
+    GROUP_BLOCKS rows, by problem.assemble_batch(y, lo, hi), else by
+    problem(k, grid) for k = 1..M+1, grid by grid.  A short sweep, or any
+    of a problem without assemble_batch, is one slab and goes whole to
     solve_block_system; a longer one, alone in its group, streams into its
     elimination.  Given relax_batch's helper, groups go in pairs: the
     second is sent to the helper, the first eliminated here, then the
@@ -415,7 +416,6 @@ def _corrections(problem, y: np.ndarray, left: tuple[int, ...], helper):
     t = n - len(left)               # the right block's rows; the left block's start at t
     per_k = not hasattr(problem, "assemble_batch")
     rows = m + 1 if per_k else GROUP_BLOCKS     # per slab
-    group = max(1, GROUP_BLOCKS // (m + 1))
     dy, exact, singular = np.zeros((b, n, m)), np.ones(b, dtype=bool), np.zeros(b, dtype=int)
 
     def slab(lo, start):            # rows start.. of the sweeps of the group at lo
@@ -471,10 +471,8 @@ def relax(problem, initial: SolutionGrid, config: RelaxConfig) -> RelaxOutcome:
     and config.scalv needs one entry per unknown.  Each sweep solves for
     the raw corrections, measures err = mean(|delta|/scalv), damps by
     fac = slowc/max(slowc, err), and applies y += fac*delta before
-    testing err < conv.  Non-convergence (itmax exhausted, or a step
-    that would leave the finite domain) is reported through the outcome,
-    not raised; a singular block raises SingularBlockError.  This is
-    relax_batch with one grid.
+    testing err < conv.  This is relax_batch with one grid, which says
+    when it stops; a singular block raises SingularBlockError.
     """
     out, = relax_batch(problem, [initial], [config])
     if isinstance(out, SingularBlockError):
@@ -487,18 +485,20 @@ def relax_batch(problem, initial, config) -> list:
 
     initial and config are equal-length sequences, and the grids share
     one shape.  All grids share one Newton loop: each sweep corrects
-    every grid still iterating at once, and a grid leaves the loop at
-    exactly the sweep, and with exactly the outcome, that relax would
-    give it alone.  The result lists, in order, each grid's
+    every grid still iterating at once.  A grid leaves at the first sweep
+    where it cannot step (a singular block, or a non-finite err or step),
+    converges, or reaches its itmax; converging on the itmax-th sweep
+    counts as converged.  So it leaves with exactly the outcome relax
+    would give it alone.  The result lists, in order, each grid's
     RelaxOutcome, or the SingularBlockError its elimination hit, so one
     singular grid does not stop the others.
 
     The problem contract is relax's: _corrections asks assemble_batch for
     each group's rows (0, M+1), or a longer sweep's slab by slab, and
-    eliminates each grid alone.  With two CPUs, once the process's helper
-    is ready, a sweep of two assembly groups or more (at most GROUP_BLOCKS
-    blocks per grid) leaves every odd-numbered group to it; this process
-    eliminates the others.
+    eliminates each grid alone.  A group is max(1, GROUP_BLOCKS // (M+1))
+    grids.  With two CPUs, once the process's helper is ready, a batch of
+    more than one group with M < GROUP_BLOCKS leaves every odd-numbered
+    group to it; this process eliminates the others.
     """
     grids, configs = list(initial), list(config)
     if len(grids) != len(configs):
@@ -513,8 +513,8 @@ def relax_batch(problem, initial, config) -> list:
             raise ValueError(f"scalv needs one entry per unknown ({n})")
     left = tuple(getattr(problem, "left", LEFT))
     _split(n, left)
-    helper = (_HELPER.batch() if m + 1 <= GROUP_BLOCKS and len(grids) > GROUP_BLOCKS // (m + 1)
-              else None)
+    group = max(1, GROUP_BLOCKS // (m + 1))
+    helper = _HELPER.batch() if m < GROUP_BLOCKS and len(grids) > group else None
     y = np.stack([grid.y for grid in grids])
     del grids, initial                  # the loop needs only the stacked copy
     scalv = np.array([cfg.scalv for cfg in configs])
@@ -527,7 +527,7 @@ def relax_batch(problem, initial, config) -> list:
     it = 0
     while live.size:
         it += 1
-        dy, singular = _corrections(problem, y, left, helper)
+        dy, singular = _corrections(problem, y, left, group, helper)
         with np.errstate(over="ignore", invalid="ignore"):
             # err as a per-unknown loop sums it, then y + fac*dy in place;
             # rows that do not step get values that are never used
@@ -541,17 +541,13 @@ def relax_batch(problem, initial, config) -> list:
         finite = np.isfinite(err)
         stepped = (singular == 0) & finite & np.isfinite(dy).all(axis=(1, 2))
         np.copyto(y, dy, where=stepped[:, None, None])
-        done = stepped & ((err < conv[live]) | (it == itmax[live]))
-        for i in np.flatnonzero(~stepped | done):
-            if singular[i]:
-                result = SingularBlockError(int(singular[i]))
-            elif not finite[i]:
-                result = RelaxOutcome(SolutionGrid(y[i], n), it, math.inf, False)
-            else:
-                result = RelaxOutcome(SolutionGrid(y[i], n), it, float(err[i]),
-                                      bool(stepped[i] and err[i] < conv[live[i]]))
-            out[live[i]] = result
-        keep = stepped & ~done
+        converged = stepped & (err < conv[live])
+        keep = stepped & ~converged & (it < itmax[live])
+        for i in np.flatnonzero(~keep):
+            out[live[i]] = (SingularBlockError(int(singular[i])) if singular[i] else
+                            RelaxOutcome(SolutionGrid(y[i], n), it,
+                                         float(err[i]) if finite[i] else math.inf,
+                                         bool(converged[i])))
         if not keep.all():
             live, y = live[keep], y[keep]
         del dy                          # before the next sweep allocates its own

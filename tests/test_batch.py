@@ -484,6 +484,11 @@ def test_one_grid_groups_shared_with_the_helper_match_the_reference(formulation,
     assert repr(got) == repr(want)
     assert helper.sent and all(sent == 1 for sent in helper.sent)
     helper.sent.clear()
+    monkeypatch.setattr(relax_mod, "GROUP_BLOCKS", mesh101.m + 1)   # a group is one sweep
+    got = scan(spec, mesh101, None, -14.1, -13.1, 9, formulation=formulation)
+    assert repr(got) == repr(want)
+    assert helper.sent and all(sent == 1 for sent in helper.sent)
+    helper.sent.clear()
     monkeypatch.setattr(relax_mod, "GROUP_BLOCKS", 101)     # each sweep streams
     got = scan(spec, mesh101, None, -14.1, -13.1, 9, formulation=formulation)
     assert repr(got) == repr(want)
