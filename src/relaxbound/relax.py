@@ -27,23 +27,17 @@ scan relaxes a window of guesses, and eliminates each grid alone, so each
 grid stops at the same sweep with the same bits as it would alone.  One
 loop assembles grids a group at a time in slabs of GROUP_BLOCKS rows, so a
 longer sweep streams into its elimination, as solvde asks difeq for blocks.
-With two CPUs a helper process (_Helper), started at a process's second
-batch that relax_batch would share and killed at its exit, eliminates
-every other group.
+All of it runs in the calling process; scanner shares a scan's guesses
+with a second one.
 """
 
 from __future__ import annotations
 
-import atexit
 import collections
-import contextlib
 import functools
 import itertools
 import math
-import os
 import struct
-import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +45,6 @@ import numpy as np
 from .grid import RelaxConfig, SolutionGrid
 
 LEFT = (0,)                     # unknowns pinned at x = 0 unless the problem says
-_HEAD = struct.Struct("4q")     # a helper request: groups, intervals, N, len(left)
 
 
 class SingularBlockError(ArithmeticError):
@@ -298,124 +291,29 @@ def solve_block_system(blocks, left=LEFT) -> np.ndarray:
 GROUP_BLOCKS = 1024     # blocks alive at once: amortises numpy's call cost; 0.3 MB at N = 4
 
 
-def _eliminate(sweeps, left, dy: np.ndarray, singular: np.ndarray):
-    """Each sweep's corrections into dy, else where its elimination fails:
-    an (M+1, N, 2N+1) array goes whole to solve_block_system, a stream of
-    block tuples into the generated elimination, which writes into dy."""
-    for i, sweep in enumerate(sweeps):
-        try:
-            if isinstance(sweep, np.ndarray):
-                dy[i] = solve_block_system(sweep, left)
-            else:
-                _layout(dy.shape[1], left).eliminate(sweep, dy.shape[2], dy[i])
-        except SingularBlockError as exc:
-            singular[i] = exc.k
-            collections.deque(iter(sweep), 0)   # a stream's later slabs: the exactness test
-
-
-class _Helper:
-    """The one helper process of a process: _serve answers each group's
-    header and raw float64 sweeps on its stdin with their singular blocks
-    (int64) and corrections (float64) on its stdout.  Only the thread that
-    started it uses it, so requests never interleave."""
-
-    proc = owner = None
-    ready = False
-
-    def __init__(self):
-        self.batches = itertools.count()
-
-    def batch(self):
-        """For a batch relax_batch would share: this helper if it is ready and
-        this thread started it, else None.  It starts at the second batch."""
-        if len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2:
-            return None
-        if next(self.batches) == 1:
-            import subprocess
-            code = ("import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
-                    f"sys.path.insert(0, {os.path.dirname(os.path.dirname(__file__))!r}); "
-                    "from relaxbound.relax import _serve; _serve()")
-            with contextlib.suppress(OSError):      # no Popen, no helper
-                self.proc = subprocess.Popen([sys.executable, "-c", code],
-                                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
-                self.owner = os.getpid(), threading.get_ident()
-                atexit.register(self.stop)
-        if self.proc is None or self.owner != (os.getpid(), threading.get_ident()):
-            return None
-        if not self.ready:
-            import select
-            if not select.select([self.proc.stdout], [], [], 0)[0]:
-                return None
-            self.ready = self.proc.stdout.read(1) == b"R"
-        if not self.ready or self.proc.poll() is not None:
-            self.stop()             # it died: run without it
-        return None if self.proc is None else self
-
-    def send(self, s: np.ndarray, left):
-        head = _HEAD.pack(len(s), s.shape[1] - 1, s.shape[2], len(left))
-        try:
-            self.proc.stdin.writelines([head, struct.pack(f"{len(left)}q", *left), s])
-            self.proc.stdin.flush()
-        except BrokenPipeError as exc:
-            raise RuntimeError("the elimination helper died") from exc
-
-    def receive(self, *out: np.ndarray):
-        for view in (memoryview(a).cast("B") for a in out):
-            if self.proc.stdout.readinto(view) != len(view):
-                raise RuntimeError("the elimination helper died")
-
-    def stop(self):
-        """Kill and reap the helper, unless another process started it."""
-        if self.proc is not None and self.owner[0] == os.getpid():
-            proc, self.proc = self.proc, None
-            with contextlib.suppress(BrokenPipeError), proc:    # closes the pipes, waits
-                proc.kill()
-
-
-_HELPER = _Helper()
-
-
-def _serve():
-    """The helper's loop: answer each request until its stdin closes."""
-    src, dst = sys.stdin.buffer, sys.stdout.buffer
-    dst.write(b"R")
-    dst.flush()
-    while head := src.read(_HEAD.size):
-        g, m, n, nl = _HEAD.unpack(head)
-        left = struct.unpack(f"{nl}q", src.read(8 * nl))
-        s = np.frombuffer(src.read(8 * g * (m + 1) * n * (2 * n + 1)))
-        dy, singular = np.zeros((g, n, m)), np.zeros(g, dtype=np.int64)
-        _eliminate(s.reshape(g, m + 1, n, -1), left, dy, singular)
-        dst.writelines([singular, dy])
-        dst.flush()
-
-
-def _corrections(problem, y: np.ndarray, left: tuple[int, ...], group: int, helper):
+def _corrections(problem, y: np.ndarray, left: tuple[int, ...]):
     """Newton corrections of each grid in y (B, N, M), in one array.
 
     Returns (dy, singular): singular holds the 1-based block where a
-    grid's elimination failed, else 0.  Once all are eliminated, here or
-    by the helper, a grid whose meaningful residuals are all exactly zero
-    gets dy = -0.0 and no singular block: it already solves the discrete
-    system, and its Jacobian may legitimately be singular (on the
-    all-zero trivial solution the energy column vanishes entirely).  Its
-    step then keeps its bits, and its err is 0.0.
+    grid's elimination failed, else 0.  Once all are eliminated, a grid
+    whose meaningful residuals are all exactly zero gets dy = -0.0 and no
+    singular block: it already solves the discrete system, and its
+    Jacobian may legitimately be singular (on the all-zero trivial
+    solution the energy column vanishes entirely).  Its step then keeps
+    its bits, and its err is 0.0.
 
-    group, the grids per group, comes from relax_batch, which also uses it
-    to decide on the helper.  Each group is assembled in slabs of at most
-    GROUP_BLOCKS rows, by problem.assemble_batch(y, lo, hi), else by
-    problem(k, grid) for k = 1..M+1, grid by grid.  A short sweep, or any
-    of a problem without assemble_batch, is one slab and goes whole to
-    solve_block_system; a longer one, alone in its group, streams into its
-    elimination.  Given relax_batch's helper, groups go in pairs: the
-    second is sent to the helper, the first eliminated here, then the
-    helper's answer is read into dy.  If anything raises meanwhile, the
-    helper is dropped: a request or answer may be cut short.
+    A group is max(1, GROUP_BLOCKS // (M+1)) grids, assembled in slabs of
+    at most GROUP_BLOCKS rows, by problem.assemble_batch(y, lo, hi), else
+    by problem(k, grid) for k = 1..M+1, grid by grid.  A short sweep, or
+    any of a problem without assemble_batch, is one slab and goes whole to
+    solve_block_system; a longer one, alone in its group, streams into the
+    generated elimination, which writes into dy.
     """
     b, n, m = y.shape
     t = n - len(left)               # the right block's rows; the left block's start at t
     per_k = not hasattr(problem, "assemble_batch")
     rows = m + 1 if per_k else GROUP_BLOCKS     # per slab
+    group = max(1, GROUP_BLOCKS // (m + 1))     # grids per group
     dy, exact, singular = np.zeros((b, n, m)), np.ones(b, dtype=bool), np.zeros(b, dtype=int)
 
     def slab(lo, start):            # rows start.. of the sweeps of the group at lo
@@ -439,19 +337,16 @@ def _corrections(problem, y: np.ndarray, left: tuple[int, ...], group: int, help
         return [itertools.chain.from_iterable(
             map(lambda start: unpack(slab(lo, start)), range(0, m + 1, rows)))]
 
-    for lo in range(0, b, group if helper is None else 2 * group):
-        mid, hi = lo + group, lo + 2 * group
-        pending = helper is not None and mid < b
-        try:
-            if pending:
-                helper.send(sweeps(mid), left)
-            _eliminate(sweeps(lo), left, dy[lo:mid], singular[lo:mid])
-            if pending:
-                helper.receive(singular[mid:hi], dy[mid:hi])
-        except BaseException:
-            if pending:
-                helper.stop()
-            raise
+    for lo in range(0, b, group):
+        for i, sweep in enumerate(sweeps(lo), lo):
+            try:
+                if isinstance(sweep, np.ndarray):
+                    dy[i] = solve_block_system(sweep, left)
+                else:
+                    _layout(n, left).eliminate(sweep, m, dy[i])
+            except SingularBlockError as exc:
+                singular[i] = exc.k
+                collections.deque(iter(sweep), 0)   # a stream's later slabs: the exactness test
     singular[exact], dy[exact] = 0, -0.0       # x + -0.0 is x, signed zeros too
     return dy, singular
 
@@ -495,10 +390,7 @@ def relax_batch(problem, initial, config) -> list:
 
     The problem contract is relax's: _corrections asks assemble_batch for
     each group's rows (0, M+1), or a longer sweep's slab by slab, and
-    eliminates each grid alone.  A group is max(1, GROUP_BLOCKS // (M+1))
-    grids.  With two CPUs, once the process's helper is ready, a batch of
-    more than one group with M < GROUP_BLOCKS leaves every odd-numbered
-    group to it; this process eliminates the others.
+    eliminates each grid alone, all in this process.
     """
     grids, configs = list(initial), list(config)
     if len(grids) != len(configs):
@@ -513,8 +405,6 @@ def relax_batch(problem, initial, config) -> list:
             raise ValueError(f"scalv needs one entry per unknown ({n})")
     left = tuple(getattr(problem, "left", LEFT))
     _split(n, left)
-    group = max(1, GROUP_BLOCKS // (m + 1))
-    helper = _HELPER.batch() if m < GROUP_BLOCKS and len(grids) > group else None
     y = np.stack([grid.y for grid in grids])
     del grids, initial                  # the loop needs only the stacked copy
     scalv = np.array([cfg.scalv for cfg in configs])
@@ -527,7 +417,7 @@ def relax_batch(problem, initial, config) -> list:
     it = 0
     while live.size:
         it += 1
-        dy, singular = _corrections(problem, y, left, group, helper)
+        dy, singular = _corrections(problem, y, left)
         with np.errstate(over="ignore", invalid="ignore"):
             # err as a per-unknown loop sums it, then y + fac*dy in place;
             # rows that do not step get values that are never used

@@ -6,12 +6,23 @@ different level.  Scanning a guess window and keeping the converged
 solution whose normalised wavefunction has the smallest summed squared
 second difference picks out the intended smooth state without knowing
 the spectrum beforehand.
+
+With two CPUs a scan sends its odd-indexed guesses, pickled, to one
+helper process (_Helper), started at a process's second scan that could
+be shared and killed at its exit, and relaxes the even-indexed ones here.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import itertools
 import json
 import math
+import os
+import pickle
+import sys
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,6 +87,100 @@ def _select(entries) -> int:
     return min(converged, key=lambda i: (entries[i].roughness, abs(entries[i].e_guess)))
 
 
+def _entries(build, spec, mesh, config, formulation, guesses) -> list[ScanEntry]:
+    """The scan entries of guesses, relaxed together in one relax_batch call."""
+    configs = [default_config(spec, guess, formulation) if config is None
+               else replace(config, scalv=config.scalv[:2]
+                            + (abs(level_guess(spec, guess)) or config.scalv[2],)
+                            + config.scalv[3:])
+               for guess in guesses]
+    starts = (initial_guess(spec, mesh, guess, formulation) for guess in guesses)
+    return [ScanEntry(guess, False, math.nan, math.inf) if isinstance(out, SingularBlockError)
+            else ScanEntry(guess, out.converged, out.grid.energy, roughness(out.grid))
+            for guess, out in zip(guesses, relax_batch(build, starts, configs))]
+
+
+class _Helper:
+    """The one helper process of a process: _serve answers each pickled
+    request on its stdin, the arguments of _entries, with their entries,
+    or the exception they raised, pickled on its stdout.  Only the thread
+    that started it uses it, so requests never interleave."""
+
+    proc = owner = None
+    ready = False
+
+    def __init__(self):
+        self.batches = itertools.count()
+
+    def batch(self):
+        """For a scan that could be shared: this helper if it is ready and
+        this thread started it, else None.  It starts at the second such scan."""
+        if len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2:
+            return None
+        if next(self.batches) == 1:
+            import subprocess
+            code = ("import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                    f"sys.path.insert(0, {os.path.dirname(os.path.dirname(__file__))!r}); "
+                    "from relaxbound.scanner import _serve; _serve()")
+            with contextlib.suppress(OSError):      # no Popen, no helper
+                self.proc = subprocess.Popen([sys.executable, "-c", code],
+                                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+                self.owner = os.getpid(), threading.get_ident()
+                atexit.register(self.stop)
+        if self.proc is None or self.owner != (os.getpid(), threading.get_ident()):
+            return None
+        if not self.ready:
+            import select
+            if not select.select([self.proc.stdout], [], [], 0)[0]:
+                return None
+            self.ready = self.proc.stdout.read(1) == b"R"
+        if not self.ready or self.proc.poll() is not None:
+            self.stop()             # it died: run without it
+        return None if self.proc is None else self
+
+    def send(self, *request):
+        try:
+            pickle.dump(request, self.proc.stdin)
+            self.proc.stdin.flush()
+        except BrokenPipeError as exc:
+            raise RuntimeError("the scan helper died") from exc
+
+    def receive(self) -> list[ScanEntry]:
+        try:
+            answer = pickle.load(self.proc.stdout)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise RuntimeError("the scan helper died") from exc
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    def stop(self):
+        """Kill and reap the helper, unless another process started it."""
+        if self.proc is not None and self.owner[0] == os.getpid():
+            proc, self.proc = self.proc, None
+            with contextlib.suppress(BrokenPipeError), proc:    # closes the pipes, waits
+                proc.kill()
+
+
+_HELPER = _Helper()
+
+
+def _serve():
+    """The helper's loop: answer each request until its stdin closes."""
+    src, dst = sys.stdin.buffer, sys.stdout.buffer
+    dst.write(b"R")
+    dst.flush()
+    with contextlib.suppress(EOFError):     # pickle.load at the end of its input
+        while True:
+            request = pickle.load(src)
+            try:
+                answer = _entries(*request)
+            except Exception as exc:        # the scan that sent it raises it
+                answer = exc
+            pickle.dump(answer, dst)
+            dst.flush()
+
+
 def scan(spec: ProblemSpec, mesh: Mesh, config: RelaxConfig | None,
          e_min: float, e_max: float, steps: int,
          formulation: str = ORIGINAL) -> ScanReport:
@@ -92,8 +197,11 @@ def scan(spec: ProblemSpec, mesh: Mesh, config: RelaxConfig | None,
     as in solve_bound_state.  In the normalised one every guess of a
     window around a level relaxes to that level, so selected_guess is
     then one of many equivalent starts and selected_relaxed is the
-    selected state.  All guesses relax together in one relax_batch
-    call; each entry is exactly what relaxing its guess alone would give.
+    selected state.  The guesses relax together in one relax_batch call,
+    or, once the process's helper is ready and the problem is exactly a
+    BlockBuilder, the even-indexed ones here and the odd-indexed ones in
+    the helper; each entry is exactly what relaxing its guess alone would
+    give.
     """
     if not (e_min < e_max and math.isfinite(e_max - e_min)):
         raise ValueError("need finite e_min < e_max")
@@ -102,19 +210,19 @@ def scan(spec: ProblemSpec, mesh: Mesh, config: RelaxConfig | None,
     build = (block_builder(mesh, spec) if formulation == ORIGINAL
              else BlockBuilder(mesh, spec, formulation))
     guesses = [float(g) for g in np.linspace(e_min, e_max, steps)]
-    configs = [default_config(spec, guess, formulation) if config is None
-               else replace(config, scalv=config.scalv[:2]
-                            + (abs(level_guess(spec, guess)) or config.scalv[2],)
-                            + config.scalv[3:])
-               for guess in guesses]
-    starts = (initial_guess(spec, mesh, guess, formulation) for guess in guesses)
-    entries = []
-    for guess, outcome in zip(guesses, relax_batch(build, starts, configs)):
-        if isinstance(outcome, SingularBlockError):
-            entries.append(ScanEntry(guess, False, math.nan, math.inf))
-        else:
-            entries.append(ScanEntry(guess, outcome.converged, outcome.grid.energy,
-                                     roughness(outcome.grid)))
+    args = build, spec, mesh, config, formulation
+    helper = _HELPER.batch() if type(build) is BlockBuilder else None
+    if helper is None:
+        entries = _entries(*args, guesses)
+    else:
+        entries = [None] * steps
+        try:
+            helper.send(*args, guesses[1::2])
+            entries[::2] = _entries(*args, guesses[::2])
+            entries[1::2] = helper.receive()
+        except BaseException:
+            helper.stop()           # a request or answer may be cut short
+            raise
     return ScanReport(entries=tuple(entries), selected=_select(entries))
 
 

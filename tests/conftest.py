@@ -27,9 +27,9 @@ fd_level is the route for any potential and l: the same kind of matrix
 on the compactified mesh, sharing only V with the box scheme, whose
 O(h^2) error one Richardson step removes.
 
-serial_engine and helper choose who eliminates a batch's groups: this
+serial_engine and helper choose who relaxes a scan's guesses: this
 process alone, or this process and a fresh helper process that is
-ready before the test starts, so that every sweep of two groups or more
+ready before the test starts, so that every scan that can be shared
 splits the same way.
 """
 
@@ -50,8 +50,7 @@ from relaxbound import (BlockBuilder, DifferenceBlock, Mesh, Potential, ProblemS
                         roughness, solve_block_system)
 from relaxbound.scanner import _select
 
-# the package re-exports a function named relax over its relax module
-relax_mod = import_module("relaxbound.relax")
+scanner_mod = import_module("relaxbound.scanner")
 N = 3
 RHS = 6
 
@@ -443,8 +442,8 @@ def rng():
 
 @pytest.fixture
 def serial_engine(monkeypatch):
-    """No helper process for one test: this process eliminates every group."""
-    monkeypatch.setattr(relax_mod._Helper, "batch", lambda self: None)
+    """No helper process for one test: this process relaxes every guess."""
+    monkeypatch.setattr(scanner_mod._Helper, "batch", lambda self: None)
 
 
 @pytest.fixture
@@ -452,14 +451,14 @@ def helper(monkeypatch):
     """A fresh helper process, ready, standing in for the process's own.
 
     Two CPUs are reported whatever the host has.  helper.sent lists the
-    grid count of each group the helper was sent.  It is stopped after
+    guesses of each request the helper was sent.  It is stopped after
     the test.
     """
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    helper = relax_mod._Helper()
-    monkeypatch.setattr(relax_mod, "_HELPER", helper)
+    helper = scanner_mod._Helper()
+    monkeypatch.setattr(scanner_mod, "_HELPER", helper)
     helper.batches, helper.sent, send = itertools.count(1), [], helper.send
-    helper.send = lambda s, *args: helper.sent.append(len(s)) or send(s, *args)
+    helper.send = lambda *request: helper.sent.append(request[-1]) or send(*request)
     deadline = time.monotonic() + 60.0
     while helper.batch() is None:       # the first call starts it
         assert helper.proc is not None, "the helper did not start"

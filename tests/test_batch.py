@@ -25,6 +25,7 @@ from conftest import reference_relax, reference_scan, smooth_grid
 
 # the package re-exports a function named relax over its relax module
 relax_mod = import_module("relaxbound.relax")
+scanner_mod = import_module("relaxbound.scanner")
 
 
 def _groups(b, mesh):
@@ -154,24 +155,18 @@ def test_mixed_retirement_batch_matches_relax(mesh101):
     assert len(sweeps) >= 4                     # members leave at different sweeps
 
 
-@pytest.mark.parametrize("route", ["streamed", "whole", "helper"])
-def test_long_sweeps_stream_slab_by_slab_with_the_same_bits(route, mesh101, monkeypatch,
-                                                            request):
-    # on every route an exactly solved grid whose elimination fails at block
+@pytest.mark.parametrize("route", ["streamed", "whole"])
+def test_long_sweeps_stream_slab_by_slab_with_the_same_bits(route, mesh101, monkeypatch):
+    # on both routes an exactly solved grid whose elimination fails at block
     # k = 17 is still exactly solved, and one whose only residual sits in the
     # last block is still singular.  streamed: seven-block slabs, k = 17 in the
-    # third; whole: each sweep whole to solve_block_system, in this process;
-    # helper: the first group's members again up front put the last four
-    # members in the group the helper eliminates
+    # third; whole: each sweep whole to solve_block_system
     if route == "streamed":
         monkeypatch.setattr(relax_mod, "GROUP_BLOCKS", 7)
         slabs = {(lo, min(lo + 7, mesh101.m + 1)) for lo in range(0, mesh101.m + 1, 7)}
     else:
-        request.getfixturevalue("serial_engine" if route == "whole" else "helper")
         slabs = {(0, mesh101.m + 1)}
     spec, starts, configs = _mixed_members(mesh101)
-    group = relax_mod.GROUP_BLOCKS // (mesh101.m + 1)
-    starts[:0], configs[:0] = starts[:group], configs[:group]
     for energy, zero in [(SINGULAR, True), (HIDDEN, True), (HIDDEN, False)]:
         y = np.zeros((3, mesh101.m))
         y[2] = energy
@@ -271,11 +266,11 @@ def test_a_grid_is_exactly_solved_only_with_zero_boundary_residuals(mesh101):
     assert [out.final_err > 0.0 for out in got] == [True, True, False]
 
 
-@pytest.mark.parametrize("route", ["alone", "serial", "helper"])
-def test_an_exactly_solved_grid_keeps_its_signed_zeros(route, mesh101, request):
+@pytest.mark.parametrize("route", ["alone", "serial"])
+def test_an_exactly_solved_grid_keeps_its_signed_zeros(route, mesh101):
     # y = 0 with -0.0 at every third point solves the system exactly: its
     # zero step keeps every bit, where y + 0.0 would turn -0.0 into 0.0.  In a
-    # batch of 13 it is member 11, in the second group, the helper's
+    # batch of 13 it is member 11, in the second group
     spec, guess = ProblemSpec.coulomb(1, 0), -13.598270
     build, cfg = block_builder(mesh101, spec), default_config(spec, guess)
     y = np.zeros((3, mesh101.m))
@@ -285,13 +280,10 @@ def test_an_exactly_solved_grid_keeps_its_signed_zeros(route, mesh101, request):
     if route == "alone":
         out = relax(build, start, cfg)
     else:
-        engine = request.getfixturevalue("serial_engine" if route == "serial" else "helper")
         starts = [initial_guess(spec, mesh101, g) for g in np.linspace(-14.0, -13.0, 12)]
         starts.insert(11, start)
         assert _groups(len(starts), mesh101) == 2
         out = relax_batch(build, starts, [cfg] * len(starts))[11]
-        if route == "helper":
-            assert engine.sent[0] == 3
     assert (out.converged, out.iterations, out.final_err) == (True, 1, 0.0)
     assert out.grid.y.tobytes() == start.y.tobytes()
 
@@ -317,8 +309,7 @@ def test_per_k_problem_runs_through_the_batched_path(mesh101):
     assert seen == sweep * sum(out.iterations for out in got)
 
 
-def test_per_k_sweeps_go_whole_through_solve_block_system(mesh101, monkeypatch,
-                                                          serial_engine):
+def test_per_k_sweeps_go_whole_through_solve_block_system(mesh101, monkeypatch):
     # the benchmark's traced passes count relax.block_solves by wrapping this
     # name, and every grid-sweep they trace comes from a per-k problem
     build, starts, configs = _coulomb_batch(mesh101)
@@ -448,72 +439,9 @@ def test_a_block_by_block_pass_holds_one_slab_at_a_time(formulation):
     assert peak <= 60 * FINE_M, peak / FINE_M
 
 
+
+
 # -------------------------------------------------------- helper process --
-
-
-def _expect_relaxed(got, problem, starts, configs):
-    """Each outcome of relax_batch is the one-grid reference's."""
-    for out, start, cfg in zip(got, starts, configs):
-        try:
-            want = reference_relax(problem, start, cfg)
-        except SingularBlockError as exc:
-            assert isinstance(out, SingularBlockError) and out.k == exc.k
-            continue
-        _assert_same_outcome(out, want)
-
-
-@pytest.mark.parametrize("steps", [45, 61])
-@pytest.mark.parametrize("formulation", ["original", "normalized"])
-def test_a_scan_shared_with_the_helper_matches_the_reference(formulation, steps, mesh101,
-                                                             helper):
-    spec = ProblemSpec.coulomb(1, 0)
-    got = scan(spec, mesh101, None, -14.1, -13.1, steps, formulation=formulation)
-    assert helper.sent                          # the odd-numbered groups went to it
-    want = reference_scan(spec, mesh101, None, -14.1, -13.1, steps, formulation)
-    assert repr(got) == repr(want)
-
-
-@pytest.mark.parametrize("formulation", ["original", "normalized"])
-def test_one_grid_groups_shared_with_the_helper_match_the_reference(formulation, mesh101,
-                                                                    helper, monkeypatch):
-    # GROUP_BLOCKS // (M + 1) is 1, as on a 1001-point mesh at the default
-    spec = ProblemSpec.coulomb(1, 0)
-    want = reference_scan(spec, mesh101, None, -14.1, -13.1, 9, formulation)
-    monkeypatch.setattr(relax_mod, "GROUP_BLOCKS", 150)
-    got = scan(spec, mesh101, None, -14.1, -13.1, 9, formulation=formulation)
-    assert repr(got) == repr(want)
-    assert helper.sent and all(sent == 1 for sent in helper.sent)
-    helper.sent.clear()
-    monkeypatch.setattr(relax_mod, "GROUP_BLOCKS", mesh101.m + 1)   # a group is one sweep
-    got = scan(spec, mesh101, None, -14.1, -13.1, 9, formulation=formulation)
-    assert repr(got) == repr(want)
-    assert helper.sent and all(sent == 1 for sent in helper.sent)
-    helper.sent.clear()
-    monkeypatch.setattr(relax_mod, "GROUP_BLOCKS", 101)     # each sweep streams
-    got = scan(spec, mesh101, None, -14.1, -13.1, 9, formulation=formulation)
-    assert repr(got) == repr(want)
-    assert not helper.sent
-
-
-def test_spoiled_members_in_the_helpers_groups_match_relax(mesh101, helper):
-    spec, starts, configs = _mixed_members(mesh101)
-    group = relax_mod.GROUP_BLOCKS // (mesh101.m + 1)
-    spoiled = list(range(40, 44))               # SINGULAR, POISONED, OVERFLOW, y = 0
-    for src, dst in zip(spoiled, [group + 2, group + 7, 3 * group + 3, 3 * group + 8]):
-        starts.insert(dst, starts.pop(src))
-        configs.insert(dst, configs.pop(src))
-    where = {start.energy: i for i, start in enumerate(starts)}
-    assert all(where[e] // group % 2 for e in (SINGULAR, POISONED, OVERFLOW, 6.0))
-    problem = Spoiled(block_builder(mesh101, spec))
-    got = relax_batch(problem, starts, configs)
-    assert helper.sent
-    _expect_relaxed(got, problem, starts, configs)
-    assert isinstance(got[where[SINGULAR]], SingularBlockError)
-    assert got[where[SINGULAR]].k == 17
-    assert got[where[POISONED]].final_err == math.inf
-    assert math.isfinite(got[where[OVERFLOW]].final_err)
-    assert not got[where[OVERFLOW]].converged
-    assert (got[where[6.0]].iterations, got[where[6.0]].final_err) == (1, 0.0)
 
 
 def _coulomb_batch(mesh, steps=45):
@@ -523,92 +451,127 @@ def _coulomb_batch(mesh, steps=45):
             [default_config(spec, g) for g in guesses])
 
 
-def test_a_helper_killed_between_batches_is_dropped(mesh101, helper):
-    build, starts, configs = _coulomb_batch(mesh101)
+def _scan_1s(mesh, steps=45, formulation="original"):
+    """A scan around hydrogen's 1s level, held to the guess-by-guess
+    reference; returns the guesses a helper would be sent."""
+    spec = ProblemSpec.coulomb(1, 0)
+    want = reference_scan(spec, mesh, None, -14.1, -13.1, steps, formulation)
+    got = scan(spec, mesh, None, -14.1, -13.1, steps, formulation=formulation)
+    assert repr(got) == repr(want)
+    return [entry.e_guess for entry in want.entries][1::2]
+
+
+def _kill(helper):
     helper.proc.kill()
     helper.proc.wait()
-    got = relax_batch(build, starts, configs)
+
+
+@pytest.mark.parametrize("steps", [45, 61])
+@pytest.mark.parametrize("formulation", ["original", "normalized"])
+def test_a_scan_shared_with_the_helper_matches_the_reference(formulation, steps, mesh101,
+                                                             helper):
+    spec = ProblemSpec.coulomb(1, 0)
+    got = scan(spec, mesh101, None, -14.1, -13.1, steps, formulation=formulation)
+    want = reference_scan(spec, mesh101, None, -14.1, -13.1, steps, formulation)
+    assert repr(got) == repr(want)
+    # one request: the odd-indexed guesses
+    assert helper.sent == [[entry.e_guess for entry in want.entries][1::2]]
+
+
+def test_spoiled_members_in_the_helpers_groups_match_relax(mesh101, helper):
+    # guesses that fail, on both sides: in a normalised scan of the zero-guess
+    # window with a caller's config, 19 of 45 run out of sweeps; in the
+    # original window -20..1e308, every guess past the first overflows its
+    # blocks and meets a singular one
+    spec = ProblemSpec.coulomb(1, 0)
+    for e_min, e_max, formulation, config in [(-1.0, 1.0, "normalized", CUSTOM["normalized"]),
+                                              (-20.0, 1e308, "original", None)]:
+        helper.sent.clear()
+        got = scan(spec, mesh101, config, e_min, e_max, 45, formulation=formulation)
+        want = reference_scan(spec, mesh101, config, e_min, e_max, 45, formulation)
+        assert repr(got) == repr(want)
+        shared = got.entries[1::2]
+        assert helper.sent == [[entry.e_guess for entry in shared]]
+        assert any(entry.converged for entry in got.entries)
+        assert any(not entry.converged for entry in shared)
+        assert any(math.isnan(entry.relaxed_e) for entry in shared) == (config is None)
+
+
+@pytest.mark.parametrize("formulation", ["original", "normalized"])
+def test_a_scan_on_a_long_mesh_is_shared_with_the_helper(formulation, helper):
+    # each sweep streams into its elimination slab by slab, in both processes
+    mesh = Mesh.uniform(relax_mod.GROUP_BLOCKS + 101)
+    guesses = _scan_1s(mesh, steps=5, formulation=formulation)
+    assert helper.sent == [guesses] and len(guesses) == 2
+
+
+@pytest.mark.parametrize("wrap", [lambda build: lambda k, grid: build(k, grid), Spoiled],
+                         ids=["per-k", "wrapper"])
+def test_only_a_block_builder_scan_is_shared(wrap, mesh101, helper, monkeypatch):
+    # a per-k adapter, as the benchmark's traced passes install, or any other
+    # problem wrapping the builder, relaxes every guess in this process
+    monkeypatch.setattr(scanner_mod, "block_builder",
+                        lambda mesh, spec: wrap(block_builder(mesh, spec)))
+    _scan_1s(mesh101)
+    assert helper.sent == []
+
+
+def test_a_helper_killed_between_batches_is_dropped(mesh101, helper):
+    _kill(helper)
+    _scan_1s(mesh101)
     assert helper.proc is None and not helper.sent
-    _expect_relaxed(got, build, starts, configs)
 
 
-class Sabotaged:
-    """A builder whose assemble_batch call number `at` runs act first: call 1
-    assembles the group for the helper, call 2 the first group, once the
-    second is sent."""
-
-    def __init__(self, build, act, at):
-        self.build, self.left, self.act, self.at, self.calls = build, build.left, act, at, 0
-
-    def assemble_batch(self, y, *rows):
-        self.calls += 1
-        if self.calls == self.at:
-            self.act()
-        return self.build.assemble_batch(y, *rows)
-
-
-def test_a_helper_dead_before_a_request_is_written_raises(mesh101, helper):
-    build, starts, configs = _coulomb_batch(mesh101)
-    pid = helper.proc.pid
-
-    def kill():
-        helper.proc.kill()
-        helper.proc.wait()
-
-    with pytest.raises(RuntimeError, match="helper died") as raised:
-        relax_batch(Sabotaged(build, kill, 1), starts, configs)
+def test_a_helper_dead_before_a_request_is_written_raises(mesh101, helper, monkeypatch):
+    pid, send = helper.proc.pid, helper.send
+    with monkeypatch.context() as patch:
+        patch.setattr(helper, "send", lambda *request: _kill(helper) or send(*request))
+        with pytest.raises(RuntimeError, match="helper died") as raised:
+            _scan_1s(mesh101)
     assert isinstance(raised.value.__cause__, BrokenPipeError)
     assert helper.proc is None
     with pytest.raises(ProcessLookupError):
         os.kill(pid, 0)
-    assert helper.sent == [relax_mod.GROUP_BLOCKS // (mesh101.m + 1)]   # the attempt
-    _expect_relaxed(relax_batch(build, starts, configs), build, starts, configs)
+    guesses = _scan_1s(mesh101)                 # in this process alone now
+    assert helper.sent == [guesses]             # the attempt
 
 
-def test_a_helper_that_dies_with_an_answer_pending_raises(mesh101, helper):
-    build, starts, configs = _coulomb_batch(mesh101)
+def _pending(mesh, helper, monkeypatch, act, exc, match):
+    """scan raises exc when act runs as this process starts relaxing its
+    share, the request sent; the helper is then gone, and the next scan
+    relaxes every guess in this process."""
     pid = helper.proc.pid
-
-    def kill():
-        helper.proc.kill()
-        helper.proc.wait()
-
-    with pytest.raises(RuntimeError, match="helper died"):
-        relax_batch(Sabotaged(build, kill, 2), starts, configs)
-    assert helper.sent == [relax_mod.GROUP_BLOCKS // (mesh101.m + 1)]
+    with monkeypatch.context() as patch:
+        patch.setattr(scanner_mod, "relax_batch", lambda *args: act() or relax_batch(*args))
+        with pytest.raises(exc, match=match):
+            _scan_1s(mesh)
     assert helper.proc is None
     with pytest.raises(ProcessLookupError):
         os.kill(pid, 0)
-    _expect_relaxed(relax_batch(build, starts, configs), build, starts, configs)
+    guesses = _scan_1s(mesh)
+    assert helper.sent == [guesses]             # the one request
 
 
-def test_a_raise_here_with_an_answer_pending_drops_the_helper(mesh101, helper):
-    build, starts, configs = _coulomb_batch(mesh101)
-    pid = helper.proc.pid
+def test_a_helper_that_dies_with_an_answer_pending_raises(mesh101, helper, monkeypatch):
+    _pending(mesh101, helper, monkeypatch, lambda: _kill(helper), RuntimeError, "helper died")
 
+
+def test_a_raise_here_with_an_answer_pending_drops_the_helper(mesh101, helper, monkeypatch):
     def fail():
         raise ValueError("assembly failed")
 
-    with pytest.raises(ValueError, match="assembly failed"):
-        relax_batch(Sabotaged(build, fail, 2), starts, configs)
-    assert helper.sent and helper.proc is None
-    with pytest.raises(ProcessLookupError):
-        os.kill(pid, 0)
-    _expect_relaxed(relax_batch(build, starts, configs), build, starts, configs)
+    _pending(mesh101, helper, monkeypatch, fail, ValueError, "assembly failed")
 
 
 def test_other_threads_run_their_batches_without_the_helper(mesh101, helper):
-    # four threads and this one relax at once, switching often: only this
+    # four threads and this one scan at once, switching often: only this
     # one, which started the helper, may use it, so no request interleaves
-    build, starts, configs = _coulomb_batch(mesh101)
-    want = relax_batch(build, starts, configs)
-    _expect_relaxed(want, build, starts, configs)
-    helper.sent.clear()
+    spec = ProblemSpec.coulomb(1, 0)
+    want = repr(reference_scan(spec, mesh101, None, -14.1, -13.1, 45))
     got = {}
 
     def run(name):
-        got[name] = relax_batch(block_builder(mesh101, ProblemSpec.coulomb(1, 0)),
-                                starts, configs)
+        got[name] = repr(scan(spec, mesh101, None, -14.1, -13.1, 45))
 
     workers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
     interval = sys.getswitchinterval()
@@ -622,51 +585,45 @@ def test_other_threads_run_their_batches_without_the_helper(mesh101, helper):
     finally:
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
-    assert len(got) == 5 and helper.sent        # the owner's sweeps still split
-    for outs in got.values():
-        for out, alone in zip(outs, want):
-            _assert_same_outcome(out, alone)
+    assert len(got) == 5 and len(helper.sent) == 1      # the owner's scan alone
+    assert set(got.values()) == {want}
 
 
 def test_another_process_neither_uses_nor_stops_the_helper(mesh101, helper, monkeypatch):
-    build, starts, configs = _coulomb_batch(mesh101)
     proc, pid = helper.proc, os.getpid()
     with monkeypatch.context() as patch:        # as in a child forked from this process
         patch.setattr(os, "getpid", lambda: pid + 1)
-        _expect_relaxed(relax_batch(build, starts, configs), build, starts, configs)
+        _scan_1s(mesh101)
         helper.stop()                           # what the child's exit would run
     assert not helper.sent
     assert helper.proc is proc and proc.poll() is None
-    _expect_relaxed(relax_batch(build, starts, configs), build, starts, configs)
-    assert helper.sent
+    guesses = _scan_1s(mesh101)
+    assert helper.sent == [guesses]
 
 
-def test_the_helper_loop_answers_a_request_as_solve_block_system(mesh101, rng, monkeypatch):
-    # one request over in-memory pipes, written by _Helper.send and read back
-    # by _Helper.receive: a plain sweep, one singular at block k = 17 and one
-    # whose residuals are all zero; _serve returns at the end of its input
-    build = BlockBuilder(mesh101, ProblemSpec.linear(1, 2), "normalized")
-    s = np.stack([build.assemble(smooth_grid(mesh101, rng, 10.0, 4)) for _ in range(3)])
-    s[1, 16] = 0.0
-    s[2, ..., -1] = 0.0
+def test_the_helper_loop_answers_each_request_as_this_process_would(mesh101, monkeypatch):
+    # two requests over in-memory pipes, written by _Helper.send and read back
+    # by _Helper.receive: the odd-indexed guesses of a normalised scan, whose
+    # entries come back, and the same with a config of three scalv entries for
+    # N = 4, whose ValueError comes back; _serve returns at the end of its input
+    spec = ProblemSpec.linear(1, 2)
+    build = BlockBuilder(mesh101, spec, "normalized")
+    want = reference_scan(spec, mesh101, None, 10.4, 11.3, 9, "normalized").entries[1::2]
+    guesses = [entry.e_guess for entry in want]
     request, answer = io.BytesIO(), io.BytesIO()
-    sender = relax_mod._Helper()
+    sender = scanner_mod._Helper()
     sender.proc = SimpleNamespace(stdin=request)
-    sender.send(s, build.left)
+    sender.send(build, spec, mesh101, None, "normalized", guesses)
+    sender.send(build, spec, mesh101, RelaxConfig(), "normalized", guesses)
     monkeypatch.setattr(sys, "stdin", SimpleNamespace(buffer=io.BytesIO(request.getvalue())))
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(buffer=answer))
-    relax_mod._serve()
+    scanner_mod._serve()
     sender.proc.stdout = io.BytesIO(answer.getvalue())
     assert sender.proc.stdout.read(1) == b"R"
-    singular, dy = np.full(3, -1), np.full((3, 4, mesh101.m), np.nan)
-    sender.receive(singular, dy)
+    assert repr(sender.receive()) == repr(list(want))
+    with pytest.raises(ValueError, match="scalv needs one entry per unknown"):
+        sender.receive()
     assert sender.proc.stdout.read() == b""
-    with pytest.raises(SingularBlockError) as info:
-        solve_block_system(s[1], build.left)
-    assert singular.tolist() == [0, info.value.k, 0] and info.value.k == 17
-    for got, sweep in zip(dy[[0, 2]], s[[0, 2]]):
-        assert got.tobytes() == solve_block_system(sweep, build.left).tobytes()
-    assert not dy[1].any()
 
 
 def test_the_helper_exits_when_its_input_closes(helper):
@@ -684,34 +641,35 @@ def popen_calls(monkeypatch):
         raise OSError("no processes here")
 
     monkeypatch.setattr(subprocess, "Popen", refuse)
-    monkeypatch.setattr(relax_mod, "_HELPER", relax_mod._Helper())
+    monkeypatch.setattr(scanner_mod, "_HELPER", scanner_mod._Helper())
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return calls
 
 
 def test_the_helper_starts_once_at_the_second_batch(mesh101, popen_calls):
-    build, starts, configs = _coulomb_batch(mesh101, steps=11)     # two groups
-    relax_batch(build, starts, configs)
+    _scan_1s(mesh101, steps=11)
     assert popen_calls == []
     for _ in range(3):                  # a failed Popen is not retried
-        _expect_relaxed(relax_batch(build, starts, configs), build, starts, configs)
+        _scan_1s(mesh101, steps=11)
         assert len(popen_calls) == 1
 
 
 def test_no_helper_starts_for_work_it_cannot_share(mesh101, popen_calls, monkeypatch):
+    # relax_batch and solve_bound_state run in this process whatever their
+    # size; a scan shares only a BlockBuilder, and only on two CPUs
     build, starts, configs = _coulomb_batch(mesh101)
-    group = relax_mod.GROUP_BLOCKS // (mesh101.m + 1)
     for _ in range(2):
-        relax_batch(build, starts[:group], configs[:group])     # one group
+        relax_batch(build, starts, configs)
         solve_bound_state(ProblemSpec.coulomb(1, 0), mesh101, -13.6)
     with monkeypatch.context() as patch:
-        patch.setattr(relax_mod, "GROUP_BLOCKS", 7)             # long, streamed sweeps
+        patch.setattr(scanner_mod, "block_builder",
+                      lambda mesh, spec: Spoiled(block_builder(mesh, spec)))
         for _ in range(2):
-            relax_batch(build, starts, configs)
+            _scan_1s(mesh101)
     with monkeypatch.context() as patch:
         patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         for _ in range(2):
-            relax_batch(build, starts, configs)
+            _scan_1s(mesh101)
     assert popen_calls == []
 
 
@@ -725,7 +683,7 @@ def test_scan_memory_stays_small_with_the_helper(mesh101, helper):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert helper.sent
+    assert len(helper.sent) == 2
     assert peak <= 2_000_000
 
 
@@ -735,7 +693,7 @@ os.sched_getaffinity = lambda pid: {0, 1}      # two CPUs on any host
 spec, mesh = relaxbound.ProblemSpec.linear(1, 0), relaxbound.Mesh.uniform(101)
 for _ in range(3):
     relaxbound.scan(spec, mesh, None, 5.7, 6.2, 61)
-print(import_module("relaxbound.relax")._HELPER.proc.pid)
+print(import_module("relaxbound.scanner")._HELPER.proc.pid)
 """
 
 

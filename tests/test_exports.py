@@ -74,11 +74,13 @@ def test_closed_forms_load_only_grid_and_oracles():
     assert loaded_after(code) == {"relaxbound", "relaxbound.grid", "relaxbound.oracles"}
 
 
-def test_the_helper_loads_only_the_elimination():
-    bootstrap = "from relaxbound.relax import _serve"
-    relax_mod = import_module("relaxbound.relax")
-    assert bootstrap in inspect.getsource(relax_mod._Helper.batch)
-    assert loaded_after(bootstrap) == {"relaxbound", "relaxbound.grid", "relaxbound.relax"}
+def test_the_helper_loads_the_scan_but_not_the_cli():
+    bootstrap = "from relaxbound.scanner import _serve"
+    scanner_mod = import_module("relaxbound.scanner")
+    assert bootstrap in inspect.getsource(scanner_mod._Helper.batch)
+    assert loaded_after(bootstrap) == {"relaxbound", "relaxbound.grid", "relaxbound.oracles",
+                                       "relaxbound.problems", "relaxbound.relax",
+                                       "relaxbound.scanner"}
 
 
 IMPORTS = ("import relaxbound.relax", "import relaxbound.problems", "from relaxbound import *")
